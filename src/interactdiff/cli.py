@@ -11,7 +11,7 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .scenes import (
     SceneSpec,
     build_dataset,
     read_dataset,
-    render,
     write_dataset,
     write_ppm,
 )
@@ -92,7 +91,6 @@ class RunConfig:
     lr: float = 1e-3
     warmup_steps: int = 200
     caption_dropout: float = 0.1
-    grad_accum: int = 1
     train_seed: int = 0
     save_every: int = 2000
     log_every: int = 25
@@ -112,40 +110,19 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            image_size=self.image_size,
-            base_channels=self.base_channels,
-            mid_channels=self.mid_channels,
-            d_tok=self.d_tok,
-            n_heads=self.n_heads,
-            time_dim=self.time_dim,
-            caption_len=self.caption_len,
-            n_max=self.n_max,
-            d_text=self.d_text,
-            n_freqs=self.n_freqs,
-            t_train=self.t_train,
-            beta_start=self.beta_start,
-            beta_end=self.beta_end,
-            init_seed=self.init_seed,
-        )
+        return _by_name(ModelConfig, self.to_dict())
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            steps_phase1=self.steps_phase1,
-            steps_phase2=self.steps_phase2,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            warmup_steps=self.warmup_steps,
-            caption_dropout=self.caption_dropout,
-            grad_accum=self.grad_accum,
-            seed=self.train_seed,
-            save_every=self.save_every,
-            log_every=self.log_every,
-            dtype=self.dtype,
-        )
+        return _by_name(TrainConfig, dict(self.to_dict(), seed=self.train_seed))
 
     def scene_config(self) -> SceneConfig:
         return SceneConfig(image_size=self.image_size, n_max=self.n_max)
+
+
+def _by_name(cls, values: dict):
+    """Build dataclass `cls` from the entries of `values` named like its
+    fields; the fields without an entry keep their defaults."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 def _parse_value(raw: str, typ):
@@ -259,9 +236,12 @@ def _cmd_train(args, cfg: RunConfig) -> int:
         raise DataError(f"dataset at {args.data} is empty")
     tcfg = cfg.train_config()
     phases = [1, 2] if args.phase == "both" else [int(args.phase)]
+    start = 0
     if args.resume:
         model, meta = InteractionDiffusionModel.load(args.resume)
-        phases = [int(meta.get("phase", phases[0]))]
+        first = int(meta.get("phase", phases[0]))
+        phases = [1, 2] if args.phase == "both" and first == 1 else [first]
+        start = int(meta.get("step", 0))
     elif phases == [2]:
         base = args.base_ckpt or os.path.join(args.out, "phase1_final.ckpt")
         if not os.path.exists(base):
@@ -274,11 +254,8 @@ def _cmd_train(args, cfg: RunConfig) -> int:
         model = InteractionDiffusionModel(cfg.model_config())
     _write_config_echo(cfg, args.out)
     for phase in phases:
-        start = 0
-        if args.resume:
-            _, meta = InteractionDiffusionModel.load(args.resume)
-            start = int(meta.get("step", 0))
         final = train_phase(model, dataset, tcfg, phase, args.out, start_step=start)
+        start = 0  # only the resumed phase starts part-way
         print(f"phase {phase} complete -> {final}")
     return 0
 
@@ -480,22 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("INTERACTDIFF_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(int(cap))
-    except ImportError:
-        pass
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

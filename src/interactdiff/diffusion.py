@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -195,16 +195,8 @@ class InteractionDiffusionModel:
             return None
         flat = [inst for insts in interactions for inst in (insts or [])]
         h_s, h_a, h_o = self.tokenizer.tokenize_instances(flat)
-        per_scene = []
-        pos = 0
-        for insts in interactions:
-            n = len(insts or [])
-            if n == 0:
-                per_scene.append(None)
-            else:
-                per_scene.append((h_s[pos : pos + n], h_a[pos : pos + n], h_o[pos : pos + n]))
-            pos += n
-        return self.embedder.embed_batch(per_scene)
+        counts = [len(insts or []) for insts in interactions]
+        return self.embedder.embed_batch(h_s, h_a, h_o, counts)
 
     # -- denoiser forward ---------------------------------------------------
 
@@ -265,16 +257,7 @@ class InteractionDiffusionModel:
         if "model" not in meta:
             raise CheckpointError(f"{path}: missing model config in metadata")
         model = cls(ModelConfig(**meta["model"]))
-        for name in model.store.names():
-            if name not in store:
-                raise CheckpointError(f"{path}: checkpoint missing parameter {name!r}")
-            model.store[name].data = store[name].data
-        model.store._m = store._m
-        model.store._v = store._v
-        model.store._frozen = store._frozen
-        for name in store._frozen:
-            model.store[name].requires_grad = False
-        model.store.step_count = store.step_count
+        model.store.load_state(store)
         return model, meta
 
 
@@ -294,7 +277,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     caption_dropout: float = 0.1
-    grad_accum: int = 1
     seed: int = 0
     save_every: int = 2000
     log_every: int = 25
@@ -338,6 +320,18 @@ def loss_step(model: InteractionDiffusionModel, batch, rng, eta: int = 1) -> Ten
     return (diff * diff).mean()
 
 
+def _truncate_metrics(path, last_step: int) -> None:
+    """Drop the rows logged after `last_step`, which an interrupted run wrote
+    after its last checkpoint, so that resuming does not log them twice."""
+    with open(path, "r+b") as fh:
+        keep = len(fh.readline())  # header
+        for line in fh:
+            if int(line.split(b",", 1)[0]) > last_step:
+                break
+            keep += len(line)
+        fh.truncate(keep)
+
+
 def train_phase(
     model: InteractionDiffusionModel,
     dataset,
@@ -345,7 +339,6 @@ def train_phase(
     phase: int,
     out_dir,
     start_step: int = 0,
-    metrics_name: str | None = None,
 ) -> str:
     """Run one training phase; returns the final checkpoint path.
 
@@ -365,14 +358,15 @@ def train_phase(
     else:
         raise ContractError(f"phase must be 1 or 2, got {phase}")
     os.makedirs(out_dir, exist_ok=True)
-    metrics_path = os.path.join(out_dir, metrics_name or f"metrics_phase{phase}.csv")
+    metrics_path = os.path.join(out_dir, f"metrics_phase{phase}.csv")
     write_header = start_step == 0 or not os.path.exists(metrics_path)
+    if not write_header:
+        _truncate_metrics(metrics_path, start_step)
     metrics = open(metrics_path, "a" if start_step else "w", newline="")
     writer = csv.writer(metrics)
     if write_header:
         writer.writerow(["step", "phase", "loss", "lr"])
     final_path = os.path.join(out_dir, f"phase{phase}_final.ckpt")
-    accum = max(1, tcfg.grad_accum)
     try:
         with N.strict_mode(False):
             model.store.zero_grad()
@@ -399,14 +393,13 @@ def train_phase(
                     # signal; keep the rate constant instead of decaying it
                     decay = 1.0
                 lr = tcfg.lr * warm * decay
-                if step % accum == 0:
-                    adam_step(
-                        model.store,
-                        lr=lr,
-                        betas=(tcfg.adam_beta1, tcfg.adam_beta2),
-                        eps=tcfg.adam_eps,
-                    )
-                    model.store.zero_grad()
+                adam_step(
+                    model.store,
+                    lr=lr,
+                    betas=(tcfg.adam_beta1, tcfg.adam_beta2),
+                    eps=tcfg.adam_eps,
+                )
+                model.store.zero_grad()
                 if step % tcfg.log_every == 0 or step == steps:
                     writer.writerow([step, phase, f"{loss_val:.6f}", f"{lr:.2e}"])
                     metrics.flush()
@@ -468,4 +461,6 @@ def sample(
             if x0_clip:
                 x0 = np.clip(x0, -x0_clip, x0_clip)
             z = math.sqrt(ab[tp]) * x0 + math.sqrt(1.0 - ab[tp]) * eps
+    if not np.all(np.isfinite(z)):
+        raise NumericError(f"sampling produced non-finite images (seed {seed}, omega {omega})")
     return z

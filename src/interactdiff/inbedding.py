@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ContractError
 from . import numerics as N
 from .numerics import ParameterStore, Tensor
 
@@ -34,62 +34,53 @@ class InteractionEmbeddings:
         store.add(f"{prefix}.role", Tensor(rng.normal(0.0, 0.02, size=(3, d_tok))))
         store.add(f"{prefix}.null", Tensor(rng.normal(0.0, 0.02, size=(d_tok,))))
 
-    def embed_batch(self, per_scene_tokens) -> tuple[Tensor, np.ndarray]:
+    def embed_batch(self, h_s, h_a, h_o, counts) -> tuple[Tensor, np.ndarray]:
         """Pad and embed a batch of scenes.
 
-        per_scene_tokens: list over scenes of (h_s, h_a, h_o) tensors, each
-        (n_i, d_tok) with n_i >= 0 (empty scenes allowed as None).
+        h_s, h_a, h_o: (n_total, d_tok) tokens of every instance in the batch,
+        scene by scene; counts[b] of them belong to scene b (0 for an empty
+        scene; the tokens may be None when every count is 0).
         Returns tokens (B, 3*n_max, d_tok) and a boolean validity mask
         (B, 3*n_max); slot layout is [s_1, a_1, o_1, s_2, ...].
         """
-        B = len(per_scene_tokens)
-        counts = []
-        rows = []  # tensors of shape (n_i, d) in role-major order per scene
-        slot_ids = []
-        role_ids = []
-        for toks in per_scene_tokens:
-            if toks is None:
-                counts.append(0)
-                continue
-            h_s, h_a, h_o = toks
-            n = h_s.shape[0]
-            if n > self.n_max:
-                raise CapacityError(f"{n} instances exceed n_max={self.n_max}")
-            counts.append(n)
-            rows += [h_s, h_a, h_o]
-            slot_ids += list(range(n)) * 3
-            role_ids += [0] * n + [1] * n + [2] * n
+        B = len(counts)
+        total = sum(counts)
+        if any(n > self.n_max for n in counts):
+            raise CapacityError(f"{max(counts)} instances exceed n_max={self.n_max}")
+        null = N.reshape(self.store[f"{self.prefix}.null"], (1, self.d_tok))
+        # pool rows: each scene's subjects, actions and objects in turn, then
+        # the null row; this order fixes the summation order of the instance
+        # and role embedding gradients.  Batch slots index into the pool.
+        idx = np.full((B, 3 * self.n_max), 3 * total, dtype=np.int64)
+        mask = np.zeros((B, 3 * self.n_max), dtype=bool)
+        if total == 0:
+            return N.take(null, idx), mask
+        if h_s.shape[0] != total:
+            raise ContractError(f"{h_s.shape[0]} token rows for {total} instances")
+        perm, slot_ids, role_ids = [], [], []
+        start = 0
+        for b, n in enumerate(counts):
+            for role in range(3):
+                for i in range(n):
+                    idx[b, 3 * i + role] = len(perm)
+                    mask[b, 3 * i + role] = True
+                    perm.append(role * total + start + i)
+                    slot_ids.append(i)
+                    role_ids.append(role)
+            start += n
         q = self.store[f"{self.prefix}.instance"]
         r = self.store[f"{self.prefix}.role"]
-        null = self.store[f"{self.prefix}.null"]
-        if rows:
-            h_all = N.concat(rows, axis=0)  # (n_total*3, d)
-            e_all = h_all + N.embedding(q, np.array(slot_ids)) + N.embedding(r, np.array(role_ids))
-            pool = N.concat([e_all, N.reshape(null, (1, self.d_tok))], axis=0)
-        else:
-            pool = N.reshape(null, (1, self.d_tok))
-        null_row = pool.shape[0] - 1
-        # map batch slots onto rows of the pooled matrix
-        idx = np.full((B, 3 * self.n_max), null_row, dtype=np.int64)
-        mask = np.zeros((B, 3 * self.n_max), dtype=bool)
-        offset = 0
-        for b, n in enumerate(counts):
-            for i in range(n):
-                for role in range(3):
-                    idx[b, 3 * i + role] = offset + role * n + i
-                    mask[b, 3 * i + role] = True
-            offset += 3 * n
-        return N.take(pool, idx), mask
+        h_all = N.take(N.concat([h_s, h_a, h_o], axis=0), np.array(perm))
+        e_all = h_all + N.embedding(q, np.array(slot_ids)) + N.embedding(r, np.array(role_ids))
+        return N.take(N.concat([e_all, null], axis=0), idx), mask
 
     def embed_instances(self, triplets) -> tuple[Tensor, np.ndarray]:
         """Single-scene entry point over a list of EntityTokenTriplet."""
-        if len(triplets) > self.n_max:
-            raise CapacityError(f"{len(triplets)} instances exceed n_max={self.n_max}")
         if triplets:
             h_s = N.concat([N.reshape(t.h_s, (1, self.d_tok)) for t in triplets], axis=0)
             h_a = N.concat([N.reshape(t.h_a, (1, self.d_tok)) for t in triplets], axis=0)
             h_o = N.concat([N.reshape(t.h_o, (1, self.d_tok)) for t in triplets], axis=0)
-            toks, mask = self.embed_batch([(h_s, h_a, h_o)])
+            toks, mask = self.embed_batch(h_s, h_a, h_o, [len(triplets)])
         else:
-            toks, mask = self.embed_batch([None])
+            toks, mask = self.embed_batch(None, None, None, [0])
         return toks[0], mask[0]

@@ -51,7 +51,9 @@ def eta_schedule(t: int, config: SamplerConfig) -> int:
     T = config.total_steps
     if not 1 <= t <= T:
         raise ContractError(f"step index {t} outside 1..{T}")
-    n_gated = math.ceil(config.omega * T)
+    # omega * T carries float error (0.14 * 50 = 7.000000000000001), which
+    # must not gate an extra step; with T <= 1000 it is far below 1e-9
+    n_gated = math.ceil(config.omega * T - 1e-9)
     if config.gate_low_noise_end:
         return 1 if t > T - n_gated else 0
     return 1 if t <= n_gated else 0

@@ -16,6 +16,7 @@ checkpoints are portable across machine word orders.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -82,12 +83,33 @@ class ParameterStore:
                 self._frozen.discard(name)
                 t.requires_grad = True
 
+    def load_state(self, other: "ParameterStore") -> None:
+        """Take over `other`'s parameter values, Adam moments, frozen set and
+        step count, e.g. a store read by load_checkpoint.
+
+        Raises CheckpointError unless both stores hold the same parameter
+        names with the same shapes.
+        """
+        expected = {name: t.shape for name, t in self._params.items()}
+        found = {name: t.shape for name, t in other.items()}
+        if found != expected:
+            names = expected.keys() | found.keys()
+            bad = sorted(n for n in names if found.get(n) != expected.get(n))
+            raise CheckpointError(
+                "parameters differ from the model's (name: shape found, shape expected): "
+                + ", ".join(f"{n}: {found.get(n)}, {expected.get(n)}" for n in bad)
+            )
+        for name, t in self._params.items():
+            t.data = other[name].data
+            t.requires_grad = not other.is_frozen(name)
+            t.grad = None
+        self._frozen = set(other._frozen)
+        self._m, self._v = other._m, other._v
+        self.step_count = other.step_count
+
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def num_parameters(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def state_hash(self, prefix: str = "") -> int:
         """Order-stable hash of raw parameter bytes under `prefix`."""
@@ -161,8 +183,19 @@ def save_checkpoint(store: ParameterStore, path, meta: dict | None = None) -> No
         out += np.ascontiguousarray(m, dtype=_TAG_DTYPES[tag]).tobytes()
         out += np.ascontiguousarray(v, dtype=_TAG_DTYPES[tag]).tobytes()
     out += struct.pack("<I", len(meta_blob)) + meta_blob
-    with open(path, "wb") as fh:
-        fh.write(out)
+    # write a sibling temp file and rename it over `path`, so that a failed or
+    # interrupted write leaves the previous checkpoint intact
+    tmp = os.fspath(path) + ".tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(out)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Reader:

@@ -111,9 +111,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -339,17 +336,6 @@ def tanh(a) -> Tensor:
     return _make(data, (a,), backward, "tanh")
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * data * (1.0 - data))
-
-    return _make(data, (a,), backward, "sigmoid")
-
-
 def silu(a) -> Tensor:
     a = as_tensor(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
@@ -360,17 +346,6 @@ def silu(a) -> Tensor:
             a._accumulate(g * s * (1.0 + a.data * (1.0 - s)))
 
     return _make(data, (a,), backward, "silu")
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))
-
-    return _make(data, (a,), backward, "relu")
 
 
 # -- reductions -------------------------------------------------------------
@@ -626,17 +601,3 @@ def upsample_nearest2(x) -> Tensor:
             x._accumulate(g.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5)))
 
     return _make(data, (x,), backward, "upsample_nearest2")
-
-
-def avg_pool2(x) -> Tensor:
-    """2x2 average pooling of (B, C, H, W)."""
-    x = as_tensor(x)
-    B, C, H, W = x.data.shape
-    data = x.data.reshape(B, C, H // 2, 2, W // 2, 2).mean(axis=(3, 5))
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
-            x._accumulate(gx)
-
-    return _make(np.ascontiguousarray(data), (x,), backward, "avg_pool2")

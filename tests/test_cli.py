@@ -2,12 +2,16 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from interactdiff import diffusion
 from interactdiff.cli import RunConfig, build_parser, load_run_config, main
-from interactdiff.errors import ConfigError
+from interactdiff.diffusion import InteractionDiffusionModel, ModelConfig, TrainConfig
+from interactdiff.errors import CheckpointError, ConfigError
+from interactdiff.numerics import ParameterStore, Tensor, load_checkpoint, save_checkpoint
 from interactdiff.scenes import read_ppm
 
 
@@ -53,6 +57,35 @@ def test_config_file_parsing(tmp_path):
     path.write_text("omega = 0.5\nsteps = 25  # comment\ngate_low_noise_end = true\n")
     cfg = load_run_config(path)
     assert cfg.omega == 0.5 and cfg.steps == 25 and cfg.gate_low_noise_end is True
+
+
+def test_config_file_reaches_model_and_train_config(tmp_path):
+    """Every RunConfig key that ModelConfig or TrainConfig also has reaches the
+    built config; train_seed is TrainConfig.seed."""
+    run_keys = {f.name for f in fields(RunConfig)}
+    shared = [
+        (cls, f.name, "train_seed" if (cls, f.name) == (TrainConfig, "seed") else f.name)
+        for cls in (ModelConfig, TrainConfig)
+        for f in fields(cls)
+    ]
+    shared = [entry for entry in shared if entry[2] in run_keys]
+    assert len(shared) == 24
+    defaults = RunConfig()
+    values = {}
+    for _, _, key in shared:
+        default = getattr(defaults, key)
+        if isinstance(default, str):
+            values[key] = "float64" if default == "float32" else "float32"
+        elif isinstance(default, int):
+            values[key] = default + 1
+        else:
+            values[key] = default * 3
+    path = tmp_path / "c.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    cfg = load_run_config(path)
+    built = {ModelConfig: cfg.model_config(), TrainConfig: cfg.train_config()}
+    for cls, name, key in shared:
+        assert getattr(built[cls], name) == values[key] != getattr(defaults, key), key
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -113,6 +146,39 @@ def test_train_phase2_without_base(tmp_path, mini):
     assert code == 3
 
 
+def test_resume_after_interruption_matches_uninterrupted(mini, tmp_path, monkeypatch):
+    cfg = tmp_path / "resume.cfg"
+    cfg.write_text((mini / "tiny.cfg").read_text() + "save_every = 2\n")
+    train = ["train", "--config", cfg, "--data", mini / "data"]
+    assert run(train + ["--out", tmp_path / "full"]) == 0
+
+    class Interrupted(Exception):
+        pass
+
+    calls = []
+    loss_step = diffusion.loss_step
+
+    def interrupted_at_phase1_step4(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise Interrupted
+        return loss_step(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "loss_step", interrupted_at_phase1_step4)
+    with pytest.raises(Interrupted):
+        run(train + ["--out", tmp_path / "cut"])
+    monkeypatch.undo()
+    cut = tmp_path / "cut"
+    # step 3 was logged after the step-2 checkpoint the run resumes from
+    assert (cut / "metrics_phase1.csv").read_text().splitlines()[-1].startswith("3,")
+    assert run(train + ["--out", cut, "--resume", cut / "phase1_step000002.ckpt"]) == 0
+    for name in ("metrics_phase1.csv", "metrics_phase2.csv"):
+        assert (cut / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+    resumed, _ = load_checkpoint(cut / "phase2_final.ckpt")
+    full, _ = load_checkpoint(tmp_path / "full" / "phase2_final.ckpt")
+    assert resumed.state_hash() == full.state_hash()
+
+
 def test_train_missing_dataset(tmp_path):
     code = run(["train", "--data", tmp_path / "nope", "--out", tmp_path / "r"])
     assert code == 3
@@ -160,6 +226,41 @@ def test_sample_corrupt_checkpoint(mini, tmp_path):
     code = run(["sample", "--ckpt", bad, "--scene-json", mini / "data" / "scenes.jsonl",
                 "--out", tmp_path / "o"])
     assert code == 3
+
+
+@pytest.mark.parametrize("fault,culprit", [
+    ("missing", "base.conv_out.b"), ("extra", "inter.unused"), ("shape", "base.conv_out.b"),
+])
+def test_mismatched_checkpoint_rejected(mini, tmp_path, fault, culprit):
+    store, meta = load_checkpoint(mini / "run" / "phase2_final.ckpt")
+    bad = ParameterStore()
+    for name, t in store.items():
+        if name == "base.conv_out.b" and fault != "extra":
+            if fault == "missing":
+                continue
+            t = Tensor(np.zeros(t.shape[0] + 1))
+        bad.add(name, t)
+    if fault == "extra":
+        bad.add("inter.unused", Tensor(np.zeros(2)))
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, path, meta=meta)
+    with pytest.raises(CheckpointError, match=culprit):
+        InteractionDiffusionModel.load(path)
+    code = run(["sample", "--ckpt", path, "--scene-json", mini / "data" / "scenes.jsonl",
+                "--out", tmp_path / "o"])
+    assert code == 3
+
+
+def test_nonfinite_samples_exit_4(mini, tmp_path):
+    store, meta = load_checkpoint(mini / "run" / "phase2_final.ckpt")
+    store["base.conv_out.b"].data[...] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(store, path, meta=meta)
+    cfg = mini / "tiny.cfg"
+    assert run(["sample", "--config", cfg, "--ckpt", path, "--count", 2,
+                "--scene-json", mini / "data" / "scenes.jsonl", "--out", tmp_path / "s"]) == 4
+    assert run(["eval", "--config", cfg, "--ckpt", path, "--data", mini / "data",
+                "--count", 2, "--omega-sweep", "0", "--out", tmp_path / "e"]) == 4
 
 
 def test_cli_flag_defaults():

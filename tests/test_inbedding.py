@@ -149,22 +149,13 @@ def test_batch_matches_single_scene():
     store, emb = make_embedder()
     rng = np.random.default_rng(8)
     scenes = [random_triplets(rng, n) for n in (1, 3, 0, 2)]
+    flat = [t for trips in scenes for t in trips]
+    h_s, h_a, h_o = (Tensor(np.stack([getattr(t, role).data for t in flat]))
+                     for role in ("h_s", "h_a", "h_o"))
 
-    def pack(trips):
-        if not trips:
-            return None
-        import interactdiff.numerics as N
-
-        stack = lambda xs: Tensor(np.stack([x.data for x in xs]))
-        return (
-            stack([t.h_s for t in trips]),
-            stack([t.h_a for t in trips]),
-            stack([t.h_o for t in trips]),
-        )
-
-    toks, mask = emb.embed_batch([pack(s) for s in scenes])
+    toks, mask = emb.embed_batch(h_s, h_a, h_o, [len(s) for s in scenes])
     assert toks.shape == (4, 3 * N_MAX, D)
     for b, trips in enumerate(scenes):
         single, smask = emb.embed_instances(trips)
-        assert np.allclose(toks.data[b], single.data, atol=1e-12)
+        assert np.array_equal(toks.data[b], single.data)
         assert np.array_equal(mask[b], smask)

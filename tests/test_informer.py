@@ -42,6 +42,14 @@ def test_eta_schedule_threshold_is_ceiling():
     assert [eta_schedule(t, cfg) for t in (1, 2, 3)] == [1, 1, 0]
 
 
+@pytest.mark.parametrize("omega,T,gated", [(0.14, 50, 7), (0.55, 100, 55)])
+def test_eta_schedule_float_error_adds_no_step(omega, T, gated):
+    # omega * T lands just above an integer in floating point
+    assert omega * T > gated
+    cfg = SamplerConfig(omega=omega, total_steps=T)
+    assert sum(eta_schedule(t, cfg) for t in range(1, T + 1)) == gated
+
+
 def test_eta_schedule_low_noise_variant():
     cfg = SamplerConfig(omega=0.8, total_steps=50, gate_low_noise_end=True)
     assert [eta_schedule(t, cfg) for t in (1, 10, 11, 50)] == [0, 0, 1, 1]

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,7 +135,6 @@ FD_CASES = [
     ("layer_norm", lambda x, g, b: (N.layer_norm(x, g, b) ** 2.0).sum(), [(4, 6), (6,), (6,)]),
     ("tanh", lambda a: N.tanh(a).sum(), [(7,)]),
     ("silu", lambda a: N.silu(a).sum(), [(7,)]),
-    ("sigmoid", lambda a: N.sigmoid(a).sum(), [(7,)]),
     ("exp", lambda a: N.exp(a).sum(), [(5,)]),
     ("sqrt_abs", lambda a: N.sqrt(a * a + 1.0).sum(), [(5,)]),
     ("power", lambda a: (a ** 4.0).sum(), [(5,)]),
@@ -144,13 +145,12 @@ FD_CASES = [
     ("conv2d", lambda x, w, b: (N.conv2d(x, w, b, padding=1) ** 2.0).sum(), [(2, 3, 5, 5), (4, 3, 3, 3), (4,)]),
     ("conv2d_stride2", lambda x, w, b: (N.conv2d(x, w, b, stride=2, padding=1) ** 2.0).sum(), [(1, 2, 6, 6), (3, 2, 3, 3), (3,)]),
     ("upsample", lambda x: (N.upsample_nearest2(x) ** 2.0).sum(), [(1, 2, 3, 3)]),
-    ("avg_pool", lambda x: (N.avg_pool2(x) ** 2.0).sum(), [(1, 2, 4, 4)]),
 ]
 
 
 @pytest.mark.parametrize("name,func,shapes", FD_CASES, ids=[c[0] for c in FD_CASES])
 def test_gradients_match_finite_differences(name, func, shapes):
-    # >= 100 random instances across ops: 5 instances x 21 ops
+    # 5 random instances per op; criterion 4 in test_acceptance runs 100 per op
     for _ in range(5):
         arrays = [_rand(s) for s in shapes]
         check_gradients(func, arrays, rtol=1e-4, h=1e-5)
@@ -247,6 +247,23 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         assert loaded["w"].data.dtype == np.float32
         assert loaded["w"].data.tobytes() == store["w"].data.tobytes()
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        store = ParameterStore()
+        store.add("w", Tensor([1.0, 2.0]))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(store, path, meta={"step": 1})
+        before = path.read_bytes()
+        store["w"].data[...] = 5.0
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(store, path, meta={"step": 2})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck.bin"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bogus.bin"
