@@ -278,8 +278,10 @@ def _read_conditions(path, limit=None):
 
 
 def _sample_batched(model, specs, cfg: RunConfig, omega, seed):
-    """Sample images for a list of SceneSpec conditions, batch by batch."""
-    images = []
+    """Sample images for SceneSpec conditions, batch by batch, the batch from
+    condition `lo` with seed `seed + lo`; returns the images and, per image,
+    that seed and the image's index in its batch."""
+    images, draws = [], []
     for lo in range(0, len(specs), cfg.eval_batch):
         chunk = specs[lo : lo + cfg.eval_batch]
         imgs = sample(
@@ -293,7 +295,8 @@ def _sample_batched(model, specs, cfg: RunConfig, omega, seed):
             gate_low_noise_end=cfg.gate_low_noise_end,
         )
         images.extend(imgs)
-    return images
+        draws.extend((seed + lo, i) for i in range(len(chunk)))
+    return images, draws
 
 
 def cmd_sample(args) -> int:
@@ -317,14 +320,15 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
         raise DataError(f"no conditions in {args.scene_json}")
     os.makedirs(args.out, exist_ok=True)
     _write_config_echo(cfg, args.out)
-    images = _sample_batched(model, specs, cfg, cfg.omega, cfg.sample_seed)
-    for i, (spec, img) in enumerate(zip(specs, images)):
+    images, draws = _sample_batched(model, specs, cfg, cfg.omega, cfg.sample_seed)
+    for i, (spec, img, (seed, batch_index)) in enumerate(zip(specs, images, draws)):
         name = f"sample_{i:05d}"
         write_ppm(os.path.join(args.out, f"{name}.ppm"), img)
         sidecar = spec.to_json_obj(f"{name}.ppm")
         sidecar["omega"] = cfg.omega
         sidecar["steps"] = cfg.steps
-        sidecar["seed"] = cfg.sample_seed
+        sidecar["seed"] = seed
+        sidecar["batch_index"] = batch_index
         sidecar["schema_version"] = SCHEMA_VERSION
         with open(os.path.join(args.out, f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, sort_keys=True)
@@ -383,7 +387,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         return 0
     model, _ = InteractionDiffusionModel.load(args.ckpt)
     for omega in omegas:
-        images = _sample_batched(model, specs, cfg, omega, cfg.sample_seed)
+        images, _ = _sample_batched(model, specs, cfg, omega, cfg.sample_seed)
         report = evaluate_images(images, specs, real_images, cfg)
         report.config_echo.update(cfg.to_dict())
         report.config_echo["omega"] = omega

@@ -108,9 +108,9 @@ class ResBlock:
         self.conv2 = Conv2d(store, f"{name}.conv2", channels, channels, rng=rng)
 
     def __call__(self, x: Tensor, temb: Tensor) -> Tensor:
-        B, C, _, _ = x.shape
+        B, _, _, C = x.shape
         h = self.conv1(N.silu(self.gn1(x)))
-        h = h + self.time_proj(N.silu(temb)).reshape(B, C, 1, 1)
+        h = h + self.time_proj(N.silu(temb)).reshape(B, 1, 1, C)
         h = self.conv2(N.silu(self.gn2(h)))
         return x + h
 
@@ -208,6 +208,7 @@ class InteractionDiffusionModel:
         interactions=None,
         eta: int = 1,
     ) -> Tensor:
+        """eps prediction, (B, 3, S, S); activations inside are channels last."""
         B = z_t.shape[0]
         temb = N.silu(self.time_mlp0(Tensor(time_features(t, self.config.time_dim))))
         temb = self.time_mlp1(temb)
@@ -218,31 +219,22 @@ class InteractionDiffusionModel:
         else:
             e_tok, e_mask = embedded
 
-        def tok(x: Tensor) -> Tensor:
-            b, c, h, w = x.shape
-            return N.swapaxes(x.reshape(b, c, h * w), 1, 2)
-
-        def untok(x: Tensor, h: int, w: int) -> Tensor:
-            b, m, c = x.shape
-            return N.swapaxes(x, 1, 2).reshape(b, c, h, w)
-
-        sz16 = self.config.image_size // 2
-        sz8 = self.config.image_size // 4
-        x = self.conv_in(Tensor(z_t))
+        d = self.config.d_tok
+        x = self.conv_in(Tensor(z_t.transpose(0, 2, 3, 1)))  # channels last
         s1 = self.res1(x, temb)
         x = self.down1(s1)
         x = self.res2(x, temb)
-        x = untok(self.inf_enc(tok(x), cap, cap_mask, e_tok, e_mask, eta), sz16, sz16)
+        x = self.inf_enc(x.reshape(B, -1, d), cap, cap_mask, e_tok, e_mask, eta).reshape(x.shape)
         s2 = x
         x = self.down2(x)
         x = self.res3(x, temb)
-        x = untok(self.inf_mid(tok(x), cap, cap_mask, e_tok, e_mask, eta), sz8, sz8)
+        x = self.inf_mid(x.reshape(B, -1, d), cap, cap_mask, e_tok, e_mask, eta).reshape(x.shape)
         x = self.up1(N.upsample_nearest2(x)) + s2
         x = self.res4(x, temb)
-        x = untok(self.inf_dec(tok(x), cap, cap_mask, e_tok, e_mask, eta), sz16, sz16)
+        x = self.inf_dec(x.reshape(B, -1, d), cap, cap_mask, e_tok, e_mask, eta).reshape(x.shape)
         x = self.up2(N.upsample_nearest2(x)) + s1
         x = self.res5(x, temb)
-        return self.conv_out(N.silu(self.gn_out(x)))
+        return self.conv_out(N.silu(self.gn_out(x))).transpose(0, 3, 1, 2)
 
     # -- persistence --------------------------------------------------------
 

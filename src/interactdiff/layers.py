@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractError
 from . import numerics as N
 from .numerics import ParameterStore, Tensor
 
@@ -53,30 +54,27 @@ class Conv2d:
 
 
 class GroupNorm:
-    """Composed from primitive ops; gradient comes from the tape."""
+    """GroupNorm of channels-last (B, H, W, C) input as one layer_norm: each
+    sample's `groups` contiguous channel blocks are normalized separately."""
 
     def __init__(self, store, name, channels, groups=None, eps=1e-5):
         self.name = name
         self.store = store
         self.groups = groups or max(1, min(8, channels // 4))
-        assert channels % self.groups == 0
-        self.channels = channels
+        if channels % self.groups:
+            raise ContractError(f"{name}: {self.groups} groups do not divide {channels} channels")
         self.eps = eps
         store.add(f"{name}.gain", Tensor(np.ones(channels)))
         store.add(f"{name}.bias", Tensor(np.zeros(channels)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        B, C, H, W = x.shape
+        B, H, W, C = x.shape
         g = self.groups
-        xg = x.reshape(B, g, (C // g) * H * W)
-        mu = xg.mean(axis=-1, keepdims=True)
-        cen = xg - mu
-        var = (cen * cen).mean(axis=-1, keepdims=True)
-        norm = cen * ((var + self.eps) ** -0.5)
-        norm = norm.reshape(B, C, H, W)
-        gain = self.store[f"{self.name}.gain"].reshape(1, C, 1, 1)
-        bias = self.store[f"{self.name}.bias"].reshape(1, C, 1, 1)
-        return norm * gain + bias
+        gain = self.store[f"{self.name}.gain"].reshape(g, C // g)
+        bias = self.store[f"{self.name}.bias"].reshape(g, C // g)
+        out = N.layer_norm(x.reshape(B, H * W, g, C // g), gain, bias,
+                           eps=self.eps, axis=(1, 3))
+        return out.reshape(B, H, W, C)
 
 
 class LayerNorm:
@@ -113,12 +111,11 @@ def multi_head_attention(
     B, Sq, D = q.shape
     Sk = k.shape[1]
     dh = D // n_heads
-
-    def split(x, S):
-        return N.swapaxes(x.reshape(B, S, n_heads, dh), 1, 2)  # (B, H, S, dh)
-
-    qh, kh, vh = split(q, Sq), split(k, Sk), split(v, Sk)
-    scores = (qh @ N.swapaxes(kh, -1, -2)) * (1.0 / np.sqrt(dh))
+    q = q * (1.0 / np.sqrt(dh))
+    qh = q.reshape(B, Sq, n_heads, dh).transpose(0, 2, 1, 3)  # (B, H, Sq, dh)
+    kt = k.reshape(B, Sk, n_heads, dh).transpose(0, 2, 3, 1)  # (B, H, dh, Sk)
+    vh = v.reshape(B, Sk, n_heads, dh).transpose(0, 2, 1, 3)  # (B, H, Sk, dh)
+    scores = qh @ kt
     if logit_bias is not None:
         scores = scores + logit_bias
     if key_mask is not None:
@@ -126,7 +123,7 @@ def multi_head_attention(
         scores = scores + Tensor(add)
     attn = N.softmax(scores, axis=-1)
     out = attn @ vh  # (B, H, Sq, dh)
-    return N.swapaxes(out, 1, 2).reshape(B, Sq, D)
+    return out.transpose(0, 2, 1, 3).reshape(B, Sq, D)
 
 
 class AttentionLayer:
@@ -134,6 +131,8 @@ class AttentionLayer:
 
     def __init__(self, store, name, d_model, n_heads, rng, d_kv=None):
         d_kv = d_kv or d_model
+        if d_model % n_heads:
+            raise ContractError(f"{name}: {n_heads} heads do not divide d_model {d_model}")
         self.n_heads = n_heads
         self.wq = Linear(store, f"{name}.q", d_model, d_model, rng, bias=False)
         self.wk = Linear(store, f"{name}.k", d_kv, d_model, rng, bias=False)

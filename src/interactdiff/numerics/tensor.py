@@ -410,17 +410,6 @@ def transpose(a, axes=None) -> Tensor:
     return _make(data, (a,), backward, "transpose")
 
 
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-    data = np.swapaxes(a.data, ax1, ax2)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, ax1, ax2))
-
-    return _make(data, (a,), backward, "swapaxes")
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -492,12 +481,23 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(data, (a,), backward, "softmax")
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x, gain, bias, eps: float = 1e-5, axis=-1) -> Tensor:
+    """Normalize over `axis` (int or tuple) to zero mean / unit variance, then
+    affine; GroupNorm passes axis=(1, 3) of a (B, H*W, groups, C/groups) view.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    n = int(np.prod([x.data.shape[a] for a in axes]))
+
+    def mean(a):
+        # one axis at a time: numpy's multi-axis reductions are much slower
+        for ax in axes:
+            a = a.sum(axis=ax, keepdims=True)
+        return a / n
+
+    mu = mean(x.data)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = mean(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = gain.data * xhat + bias.data
@@ -509,9 +509,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             bias._accumulate(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
             gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate((gx - m1 - xhat * m2) * inv)
+            x._accumulate((gx - mean(gx) - xhat * mean(gx * xhat)) * inv)
 
     return _make(data, (x, gain, bias), backward, "layer_norm")
 
@@ -535,14 +533,16 @@ def embedding(table, ids: np.ndarray) -> Tensor:
 
 
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation via im2col + BLAS matmul.
+    """2-d cross-correlation of channels-last input via im2col + one GEMM.
 
-    x: (B, Cin, H, W); w: (Cout, Cin, kh, kw); b: (Cout,) or None.
+    x: (B, H, W, Cin); w: (Cout, Cin, kh, kw); b: (Cout,) or None.
+    Returns (B, Ho, Wo, Cout).  The sliding window of channels-last input is
+    already in (B, Ho, Wo, Cin, kh, kw) column order, so im2col is one copy.
     """
     x, w = as_tensor(x), as_tensor(w)
     if b is not None:
         b = as_tensor(b)
-    B, Cin, H, W = x.data.shape
+    B, H, W, Cin = x.data.shape
     Cout, Cin_w, kh, kw = w.data.shape
     if Cin != Cin_w:
         raise ShapeError(f"conv2d channel mismatch: {x.data.shape} vs {w.data.shape}")
@@ -550,21 +550,18 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     Wo = (W + 2 * padding - kw) // stride + 1
     xp = x.data
     if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # (B, Cin, Ho, Wo, kh, kw) view, then flattened for a single GEMM
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    col = np.ascontiguousarray(win[:, ::stride, ::stride]).reshape(
         B * Ho * Wo, Cin * kh * kw
     )
     wmat = w.data.reshape(Cout, Cin * kh * kw)
-    out = (col @ wmat.T).reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
+    out = (col @ wmat.T).reshape(B, Ho, Wo, Cout)
     if b is not None:
-        out = out + b.data[None, :, None, None]
-    out = np.ascontiguousarray(out)
+        out += b.data
 
     def backward(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
+        gmat = g.reshape(B * Ho * Wo, Cout)
         if b is not None and b.requires_grad:
             b._accumulate(gmat.sum(axis=0))
         if w.requires_grad:
@@ -573,15 +570,15 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
         if x.requires_grad:
             gcol = (gmat @ wmat).reshape(B, Ho, Wo, Cin, kh, kw)
             gxp = np.zeros(
-                (B, Cin, H + 2 * padding, W + 2 * padding), dtype=x.data.dtype
+                (B, H + 2 * padding, W + 2 * padding, Cin), dtype=x.data.dtype
             )
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, :, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += (
-                        gcol[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                    gxp[:, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += (
+                        gcol[..., i, j]
                     )
             if padding:
-                gxp = gxp[:, :, padding:-padding, padding:-padding]
+                gxp = gxp[:, padding:-padding, padding:-padding]
             x._accumulate(gxp)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -589,15 +586,13 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
 
 
 def upsample_nearest2(x) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling of (B, C, H, W)."""
+    """Nearest-neighbour 2x spatial upsampling of channels-last (B, H, W, C)."""
     x = as_tensor(x)
-    B, C, H, W = x.data.shape
-    data = np.ascontiguousarray(
-        np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-    )
+    B, H, W, C = x.data.shape
+    data = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5)))
+            x._accumulate(g.reshape(B, H, 2, W, 2, C).sum(axis=(2, 4)))
 
     return _make(data, (x,), backward, "upsample_nearest2")

@@ -12,7 +12,7 @@ from interactdiff.cli import RunConfig, build_parser, load_run_config, main
 from interactdiff.diffusion import InteractionDiffusionModel, ModelConfig, TrainConfig
 from interactdiff.errors import CheckpointError, ConfigError
 from interactdiff.numerics import ParameterStore, Tensor, load_checkpoint, save_checkpoint
-from interactdiff.scenes import read_ppm
+from interactdiff.scenes import SceneSpec, read_ppm, write_ppm
 
 
 def run(argv):
@@ -100,6 +100,14 @@ def test_bad_config_exit_code(tmp_path):
     path.write_text("omega = 2.0\n")
     code = run(["gen-data", "--config", path, "--out", tmp_path / "d"])
     assert code == 2
+    # layer shapes the model cannot build: 30 channels do not split into
+    # GroupNorm's 7 groups, d_tok 64 does not split into 5 attention heads
+    assert run(["gen-data", "--out", tmp_path / "data", "--count", 2]) == 0
+    for bad in ("base_channels = 30\n", "n_heads = 5\n"):
+        path.write_text(bad)
+        code = run(["train", "--config", path, "--data", tmp_path / "data",
+                    "--out", tmp_path / "run"])
+        assert code == 2, bad
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +210,28 @@ def test_sample_outputs_and_determinism(mini, tmp_path):
     sidecar = json.loads((tmp_path / "s1" / "sample_00000.json").read_text())
     assert sidecar["omega"] == 0.8  # default from supplied config
     assert sidecar["interactions"]
+
+
+def test_sample_sidecar_regenerates_its_image(mini, tmp_path):
+    """The sidecar holds the seed of the batch an image was drawn in and its
+    index there; sampling that condition alone with that seed gives the same
+    image."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text((mini / "tiny.cfg").read_text() + "eval_batch = 2\n")
+    ckpt = mini / "run" / "phase2_final.ckpt"
+    scenes = mini / "data" / "scenes.jsonl"
+    assert run(["sample", "--config", cfg, "--ckpt", ckpt, "--scene-json", scenes,
+                "--count", 3, "--seed", 9, "--out", tmp_path / "s"]) == 0
+    sidecar = json.loads((tmp_path / "s" / "sample_00002.json").read_text())
+    assert sidecar["seed"] == 9 + 2 and sidecar["batch_index"] == 0
+    spec = SceneSpec.from_json_obj(sidecar)
+    model, _ = InteractionDiffusionModel.load(ckpt)
+    img = diffusion.sample(model, [list(spec.caption_ids)], [list(spec.interactions)],
+                           steps=sidecar["steps"], omega=sidecar["omega"],
+                           seed=sidecar["seed"])[0]
+    write_ppm(tmp_path / "again.ppm", img)
+    again = (tmp_path / "again.ppm").read_bytes()
+    assert again == (tmp_path / "s" / "sample_00002.ppm").read_bytes()
 
 
 def test_sample_omega_zero_matches_base_checkpoint(mini, tmp_path):

@@ -276,6 +276,36 @@ def test_metrics_csv_schema(tmp_path):
     assert all(row.split(",")[1] == "1" for row in lines[1:])
 
 
+def _graph_ops(loss) -> dict:
+    """Op name -> count over the non-leaf nodes reachable from `loss`."""
+    ops, seen, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._op != "leaf":
+            ops[node._op] = ops.get(node._op, 0) + 1
+        stack.extend(node._parents)
+    return ops
+
+
+@pytest.mark.parametrize("phase,bound", [(1, 249), (2, 267)])
+def test_loss_graph_size(phase, bound):
+    """Channels-last activations need no layout shuffles: the only transposes
+    are four per attention (three head splits, one merge; one softmax each)
+    and the one giving forward its (B, 3, S, S) output."""
+    model = InteractionDiffusionModel(TINY)
+    model.store.unfreeze("base." if phase == 1 else "inter.")
+    model.store.freeze("inter." if phase == 1 else "base.")
+    rng = np.random.default_rng(0)
+    batch = make_batch(tiny_dataset(), rng, 4, 0.0, with_interactions=phase == 2)
+    ops = _graph_ops(loss_step(model, batch, rng))
+    assert sum(ops.values()) <= bound
+    assert "swapaxes" not in ops
+    assert ops["transpose"] == 4 * ops["softmax"] + 1
+
+
 def test_checkpoint_round_trip_forward(tmp_path):
     model = InteractionDiffusionModel(TINY)
     ds = tiny_dataset()

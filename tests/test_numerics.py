@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import interactdiff.numerics as N
 from interactdiff.errors import ContractError, NumericError, ShapeError
+from interactdiff.layers import GroupNorm
 from interactdiff.numerics import (
     ParameterStore,
     Tensor,
@@ -133,6 +134,7 @@ FD_CASES = [
     ("batched_matmul", lambda a, b: (a @ b).sum(), [(2, 3, 4), (2, 4, 3)]),
     ("softmax", lambda a: (N.softmax(a, axis=-1) * N.softmax(a, axis=-1)).sum(), [(3, 5)]),
     ("layer_norm", lambda x, g, b: (N.layer_norm(x, g, b) ** 2.0).sum(), [(4, 6), (6,), (6,)]),
+    ("group_norm", lambda x, g, b: (N.layer_norm(x, g, b, axis=(1, 3)) ** 2.0).sum(), [(2, 4, 3, 2), (3, 2), (3, 2)]),
     ("tanh", lambda a: N.tanh(a).sum(), [(7,)]),
     ("silu", lambda a: N.silu(a).sum(), [(7,)]),
     ("exp", lambda a: N.exp(a).sum(), [(5,)]),
@@ -140,11 +142,12 @@ FD_CASES = [
     ("power", lambda a: (a ** 4.0).sum(), [(5,)]),
     ("mean", lambda a: (a.mean(axis=0) ** 2.0).sum(), [(4, 3)]),
     ("transpose", lambda a: (a.transpose(1, 0) @ a).sum(), [(3, 4)]),
+    ("transpose_4d", lambda a, b: (a.transpose(0, 2, 3, 1) * b).sum(), [(2, 3, 4, 5), (2, 4, 5, 3)]),
     ("concat", lambda a, b: (N.concat([a, b], axis=1) ** 2.0).sum(), [(2, 3), (2, 4)]),
     ("slice", lambda a: (a[1:, :2] ** 2.0).sum(), [(4, 4)]),
-    ("conv2d", lambda x, w, b: (N.conv2d(x, w, b, padding=1) ** 2.0).sum(), [(2, 3, 5, 5), (4, 3, 3, 3), (4,)]),
-    ("conv2d_stride2", lambda x, w, b: (N.conv2d(x, w, b, stride=2, padding=1) ** 2.0).sum(), [(1, 2, 6, 6), (3, 2, 3, 3), (3,)]),
-    ("upsample", lambda x: (N.upsample_nearest2(x) ** 2.0).sum(), [(1, 2, 3, 3)]),
+    ("conv2d", lambda x, w, b: (N.conv2d(x, w, b, padding=1) ** 2.0).sum(), [(2, 5, 5, 3), (4, 3, 3, 3), (4,)]),
+    ("conv2d_stride2", lambda x, w, b: (N.conv2d(x, w, b, stride=2, padding=1) ** 2.0).sum(), [(1, 6, 6, 2), (3, 2, 3, 3), (3,)]),
+    ("upsample", lambda x: (N.upsample_nearest2(x) ** 2.0).sum(), [(1, 3, 3, 2)]),
 ]
 
 
@@ -154,6 +157,56 @@ def test_gradients_match_finite_differences(name, func, shapes):
     for _ in range(5):
         arrays = [_rand(s) for s in shapes]
         check_gradients(func, arrays, rtol=1e-4, h=1e-5)
+
+
+def _conv_loops(x, w, b, stride, padding):
+    """Direct cross-correlation of channels-last x, one output value at a time."""
+    B, H, W, Cin = x.shape
+    Cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    Ho = (H + 2 * padding - kh) // stride + 1
+    Wo = (W + 2 * padding - kw) // stride + 1
+    out = np.zeros((B, Ho, Wo, Cout))
+    for n in range(B):
+        for i in range(Ho):
+            for j in range(Wo):
+                for co in range(Cout):
+                    acc = b[co]
+                    for ci in range(Cin):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                acc += xp[n, i * stride + di, j * stride + dj, ci] * w[co, ci, di, dj]
+                    out[n, i, j, co] = acc
+    return out
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_matches_direct_loops(stride):
+    rng = np.random.default_rng(11)
+    x, w, b = rng.normal(size=(2, 5, 6, 3)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+    out = N.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1).data
+    assert np.allclose(out, _conv_loops(x, w, b, stride, 1), rtol=1e-12, atol=1e-12)
+
+
+def test_group_norm_matches_per_group_normalisation():
+    rng = np.random.default_rng(12)
+    B, H, W, C, groups, eps = 2, 3, 4, 8, 2, 1e-5
+    store = ParameterStore()
+    gn = GroupNorm(store, "gn", C, groups=groups, eps=eps)
+    gain, bias = rng.normal(size=C), rng.normal(size=C)
+    store["gn.gain"].data[:] = gain
+    store["gn.bias"].data[:] = bias
+    x = rng.normal(size=(B, H, W, C)) * 3.0 + 1.0
+    expect = np.empty_like(x)
+    width = C // groups
+    for n in range(B):
+        for k in range(groups):
+            block = x[n, :, :, k * width : (k + 1) * width]
+            expect[n, :, :, k * width : (k + 1) * width] = (
+                (block - block.mean()) / np.sqrt(block.var() + eps)
+            )
+    expect = expect * gain + bias
+    assert np.allclose(gn(Tensor(x)).data, expect, rtol=1e-12, atol=1e-12)
 
 
 def test_embedding_gradient():
