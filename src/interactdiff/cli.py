@@ -100,7 +100,6 @@ class RunConfig:
     steps: int = 50
     cfg_scale: float = 1.0
     sample_seed: int = 0
-    gate_low_noise_end: bool = False
     # evaluation
     eval_count: int = 500
     eval_batch: int = 50
@@ -126,14 +125,6 @@ def _by_name(cls, values: dict):
 
 
 def _parse_value(raw: str, typ):
-    raw = raw.strip()
-    if typ is bool:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected boolean, got {raw!r}")
     try:
         return typ(raw)
     except ValueError as exc:
@@ -144,7 +135,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Defaults <- config file <- explicit overrides."""
     cfg = RunConfig()
     types = {f.name: f.type for f in fields(RunConfig)}
-    typemap = {"int": int, "float": float, "str": str, "bool": bool}
+    typemap = {"int": int, "float": float, "str": str}
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -292,7 +283,6 @@ def _sample_batched(model, specs, cfg: RunConfig, omega, seed):
             omega=omega,
             seed=seed + lo,
             cfg_scale=cfg.cfg_scale,
-            gate_low_noise_end=cfg.gate_low_noise_end,
         )
         images.extend(imgs)
         draws.extend((seed + lo, i) for i in range(len(chunk)))
@@ -345,7 +335,9 @@ def evaluate_images(images, specs, real_images, cfg: RunConfig):
     gts = [list(s.interactions) for s in specs]
     report = detection_map(detections, gts, iou_thresh=cfg.iou_thresh)
     if real_images is not None and len(images) >= 100 and len(real_images) >= 100:
-        feats_gen = np.stack([image_features(img, config=det_cfg) for img in images])
+        feats_gen = np.stack(
+            [image_features(img, dets, det_cfg) for img, dets in zip(images, detections)]
+        )
         feats_real = np.stack(
             [image_features(img, config=det_cfg) for img in real_images]
         )

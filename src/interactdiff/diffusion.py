@@ -246,9 +246,11 @@ class InteractionDiffusionModel:
     @classmethod
     def load(cls, path) -> tuple["InteractionDiffusionModel", dict]:
         store, meta = load_checkpoint(path)
-        if "model" not in meta:
-            raise CheckpointError(f"{path}: missing model config in metadata")
-        model = cls(ModelConfig(**meta["model"]))
+        try:
+            config = ModelConfig(**meta["model"])
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: no valid model config in metadata: {exc!r}") from exc
+        model = cls(config)
         model.store.load_state(store)
         return model, meta
 
@@ -419,8 +421,6 @@ def sample(
     omega: float = 0.8,
     seed: int = 0,
     cfg_scale: float = 1.0,
-    gate_low_noise_end: bool = False,
-    x0_clip: float = 1.0,
 ) -> np.ndarray:
     """Deterministic (variance-zero) reverse diffusion; returns images
     (B, 3, S, S) in [-1, 1] territory.
@@ -431,8 +431,7 @@ def sample(
     T = model.config.t_train
     if steps > T:
         raise ContractError(f"steps {steps} exceeds T_train {T}")
-    sampler_cfg = SamplerConfig(omega=omega, total_steps=steps,
-                                gate_low_noise_end=gate_low_noise_end)
+    sampler_cfg = SamplerConfig(omega=omega, total_steps=steps)
     B = len(caption_ids)
     rng = np.random.default_rng(seed)
     S = model.config.image_size
@@ -449,9 +448,7 @@ def sample(
             if cfg_scale != 1.0:
                 eps_u = model.forward(z, t_arr, [[] for _ in range(B)], inter, eta=eta).data
                 eps = eps_u + cfg_scale * (eps - eps_u)
-            x0 = (z - math.sqrt(1.0 - ab[t]) * eps) / math.sqrt(ab[t])
-            if x0_clip:
-                x0 = np.clip(x0, -x0_clip, x0_clip)
+            x0 = np.clip((z - math.sqrt(1.0 - ab[t]) * eps) / math.sqrt(ab[t]), -1.0, 1.0)
             z = math.sqrt(ab[tp]) * x0 + math.sqrt(1.0 - ab[tp]) * eps
     if not np.all(np.isfinite(z)):
         raise NumericError(f"sampling produced non-finite images (seed {seed}, omega {omega})")

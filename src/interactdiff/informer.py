@@ -34,10 +34,6 @@ class SamplerConfig:
 
     omega: float
     total_steps: int
-    # False: gate the first ceil(omega*T) denoising steps (high-noise end).
-    # True: gate the last ceil(omega*T) steps instead (literal low-noise
-    # reading of the step index); kept selectable for the ablation.
-    gate_low_noise_end: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
@@ -47,15 +43,14 @@ class SamplerConfig:
 
 
 def eta_schedule(t: int, config: SamplerConfig) -> int:
-    """Binary gate for reverse-sampling step t (1-based from the noisiest)."""
+    """Binary gate for reverse-sampling step t (1-based from the noisiest):
+    the first ceil(omega*T) steps, at the high-noise end, are gated on."""
     T = config.total_steps
     if not 1 <= t <= T:
         raise ContractError(f"step index {t} outside 1..{T}")
     # omega * T carries float error (0.14 * 50 = 7.000000000000001), which
     # must not gate an extra step; with T <= 1000 it is far below 1e-9
     n_gated = math.ceil(config.omega * T - 1e-9)
-    if config.gate_low_noise_end:
-        return 1 if t > T - n_gated else 0
     return 1 if t <= n_gated else 0
 
 

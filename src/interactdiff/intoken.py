@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ContractError, VocabularyError
 from .geometry import BoundingBox, between, fourier_embed
+from .layers import Linear
 from . import numerics as N
 from .numerics import ParameterStore, Tensor
 
@@ -46,16 +47,6 @@ class EntityTokenTriplet:
     h_o: Tensor
 
 
-def _init_linear(store: ParameterStore, name: str, d_in: int, d_out: int, rng) -> None:
-    scale = 1.0 / np.sqrt(d_in)
-    store.add(f"{name}.w", Tensor(rng.normal(0.0, scale, size=(d_in, d_out))))
-    store.add(f"{name}.b", Tensor(np.zeros(d_out)))
-
-
-def _linear(store: ParameterStore, name: str, x: Tensor) -> Tensor:
-    return x @ store[f"{name}.w"] + store[f"{name}.b"]
-
-
 class InteractionTokenizer:
     """Parameters and forward pass of the tokenizer.
 
@@ -83,10 +74,11 @@ class InteractionTokenizer:
         rng = np.random.default_rng(seed)
         store.add(f"{prefix}.label_embed", Tensor(rng.normal(0.0, 0.02, size=(vocab_size, d_text))))
         d_in = d_text + self.d_four
-        _init_linear(store, f"{prefix}.object_mlp.0", d_in, 4 * d_tok, rng)
-        _init_linear(store, f"{prefix}.object_mlp.1", 4 * d_tok, d_tok, rng)
-        _init_linear(store, f"{prefix}.action_mlp.0", d_in, 4 * d_tok, rng)
-        _init_linear(store, f"{prefix}.action_mlp.1", 4 * d_tok, d_tok, rng)
+        self.mlps = {
+            which: (Linear(store, f"{prefix}.{which}.0", d_in, 4 * d_tok, rng),
+                    Linear(store, f"{prefix}.{which}.1", 4 * d_tok, d_tok, rng))
+            for which in ("object_mlp", "action_mlp")
+        }
 
     # -- label / box featurization ------------------------------------------
 
@@ -107,9 +99,8 @@ class InteractionTokenizer:
                 f"expected dims ({self.d_text}, {self.d_four}), got "
                 f"({label_emb.shape[-1]}, {box_emb.shape[-1]})"
             )
-        x = N.concat([label_emb, box_emb], axis=-1)
-        h = N.silu(_linear(self.store, f"{self.prefix}.{which}.0", x))
-        return _linear(self.store, f"{self.prefix}.{which}.1", h)
+        first, second = self.mlps[which]
+        return second(N.silu(first(N.concat([label_emb, box_emb], axis=-1))))
 
     def object_mlp(self, label_emb: Tensor, box_emb: Tensor) -> Tensor:
         """Shared subject/object path."""

@@ -1,21 +1,22 @@
 """Named parameter storage, Adam updates and binary checkpoints.
 
-Checkpoint layout (all little-endian):
+Checkpoint layout:
 
-    magic "IDCK" | u32 version | u32 n_params
-    per param: u16 name_len | name utf8 | u8 dtype tag (0=f64, 1=f32)
-               | u8 frozen | u8 rank | u32 dims... | raw payload
-    u64 adam step count | u32 n_moment_pairs
-    per pair:  u16 name_len | name utf8 | u8 dtype tag | m payload | v payload
-    u32 meta_len | meta JSON utf8
+    magic "IDCK" | u32 version (2) | u32 header length | header JSON (UTF-8)
+    | arrays, raw and little-endian, back to back
 
-Round-trips are bit-exact; payloads are always written little-endian so
-checkpoints are portable across machine word orders.
+The header is {"params": [{"name", "dtype", "shape", "frozen"}, ...],
+"moments": [name, ...], "step_count": int, "meta": {...}}, with dtype "f4"
+or "f8".  The arrays follow in header order: every parameter, then the
+Adam m and v of each name in "moments", in its parameter's dtype and shape.
+Round trips are bit-exact, and the little-endian payload keeps checkpoints
+portable across machine byte orders.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -25,22 +26,20 @@ from ..errors import CheckpointError, ContractError
 from .tensor import Tensor
 
 _MAGIC = b"IDCK"
-_VERSION = 1
-
-_DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
-_TAG_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
+_VERSION = 2
+_PREFIX = struct.Struct("<4sII")  # magic, version, header length
+_CODES = {np.dtype(np.float32): "f4", np.dtype(np.float64): "f8"}
 
 
 class ParameterStore:
     """Registry of named, optionally frozen parameter tensors.
 
-    Frozen parameters have requires_grad switched off, so the tape never
-    accumulates gradient into them and the optimizer skips them.
+    A parameter is frozen when its requires_grad is off, so the tape never
+    accumulates gradient into it and the optimizer skips it.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._frozen: set[str] = set()
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self.step_count: int = 0
@@ -68,24 +67,22 @@ class ParameterStore:
         return self._params.items()
 
     def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
+        return not self._params[name].requires_grad
 
     def freeze(self, prefix: str = "") -> None:
         for name, t in self._params.items():
             if name.startswith(prefix):
-                self._frozen.add(name)
                 t.requires_grad = False
                 t.grad = None
 
     def unfreeze(self, prefix: str = "") -> None:
         for name, t in self._params.items():
             if name.startswith(prefix):
-                self._frozen.discard(name)
                 t.requires_grad = True
 
     def load_state(self, other: "ParameterStore") -> None:
-        """Take over `other`'s parameter values, Adam moments, frozen set and
-        step count, e.g. a store read by load_checkpoint.
+        """Take over `other`'s parameter values, frozen flags, Adam moments
+        and step count, e.g. a store read by load_checkpoint.
 
         Raises CheckpointError unless both stores hold the same parameter
         names with the same shapes.
@@ -101,9 +98,8 @@ class ParameterStore:
             )
         for name, t in self._params.items():
             t.data = other[name].data
-            t.requires_grad = not other.is_frozen(name)
+            t.requires_grad = other[name].requires_grad
             t.grad = None
-        self._frozen = set(other._frozen)
         self._m, self._v = other._m, other._v
         self.step_count = other.step_count
 
@@ -139,7 +135,7 @@ def adam_step(
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name, p in store.items():
-        if store.is_frozen(name):
+        if not p.requires_grad:
             continue
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient; run backward first")
@@ -160,31 +156,24 @@ def adam_step(
 
 
 def save_checkpoint(store: ParameterStore, path, meta: dict | None = None) -> None:
-    meta_blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<II", _VERSION, len(store))
-    for name in store.names():
-        p = store[name]
-        tag = _DTYPE_TAGS[np.dtype(p.data.dtype)]
-        nb = name.encode("utf-8")
-        out += struct.pack("<H", len(nb)) + nb
-        out += struct.pack("<BBB", tag, int(store.is_frozen(name)), p.data.ndim)
-        out += struct.pack(f"<{p.data.ndim}I", *p.data.shape)
-        out += np.ascontiguousarray(p.data, dtype=_TAG_DTYPES[tag]).tobytes()
+    """Write `store` and `meta` to `path` in the layout of the module
+    docstring; a failed or interrupted write leaves `path` as it was."""
+    codes = {name: _CODES[p.data.dtype] for name, p in store.items()}
     moments = sorted(store._m)
-    out += struct.pack("<QI", store.step_count, len(moments))
-    for name in moments:
-        m, v = store._m[name], store._v[name]
-        tag = _DTYPE_TAGS[np.dtype(m.dtype)]
-        nb = name.encode("utf-8")
-        out += struct.pack("<H", len(nb)) + nb
-        out += struct.pack("<B", tag)
-        out += np.ascontiguousarray(m, dtype=_TAG_DTYPES[tag]).tobytes()
-        out += np.ascontiguousarray(v, dtype=_TAG_DTYPES[tag]).tobytes()
-    out += struct.pack("<I", len(meta_blob)) + meta_blob
-    # write a sibling temp file and rename it over `path`, so that a failed or
-    # interrupted write leaves the previous checkpoint intact
+    header = {
+        "params": [{"name": name, "dtype": codes[name], "shape": list(p.shape),
+                    "frozen": not p.requires_grad} for name, p in store.items()],
+        "moments": moments,
+        "step_count": store.step_count,
+        "meta": meta or {},
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    out = bytearray(_PREFIX.pack(_MAGIC, _VERSION, len(blob)) + blob)
+    arrays = [(name, p.data) for name, p in store.items()]
+    arrays += [(name, a) for name in moments for a in (store._m[name], store._v[name])]
+    for name, a in arrays:
+        out += a.astype("<" + codes[name], copy=False).tobytes()
+    # write a sibling temp file and rename it over `path`
     tmp = os.fspath(path) + ".tmp"
     fh = open(tmp, "wb")
     try:
@@ -198,65 +187,62 @@ def save_checkpoint(store: ParameterStore, path, meta: dict | None = None) -> No
         raise
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.buf):
-            raise CheckpointError("truncated checkpoint")
-        vals = struct.unpack_from(fmt, self.buf, self.pos)
-        self.pos += size
-        return vals
-
-    def raw(self, size: int) -> bytes:
-        if self.pos + size > len(self.buf):
-            raise CheckpointError("truncated checkpoint")
-        out = self.buf[self.pos : self.pos + size]
-        self.pos += size
-        return out
-
-
 def load_checkpoint(path) -> tuple[ParameterStore, dict]:
-    """Read a checkpoint; returns (store, meta)."""
+    """Read a checkpoint; returns (store, meta).
+
+    Raises CheckpointError on any file that is not a version-2 checkpoint:
+    bad magic or version, a header that is not UTF-8 JSON of the documented
+    form, an unknown dtype, moments of an unknown parameter, a short payload
+    or trailing bytes.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
-    r = _Reader(buf)
-    if r.raw(4) != _MAGIC:
-        raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
-    version, n_params = r.unpack("<II")
+    try:
+        return _parse_checkpoint(buf)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _parse_checkpoint(buf: bytes) -> tuple[ParameterStore, dict]:
+    if len(buf) < _PREFIX.size or buf[:4] != _MAGIC:
+        raise CheckpointError("bad magic; not a checkpoint file")
+    _, version, header_len = _PREFIX.unpack_from(buf)
     if version != _VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    start = _PREFIX.size + header_len
+    try:
+        h = json.loads(buf[_PREFIX.size : start].decode("utf-8"))
+        params = [(p["name"], p["dtype"], tuple(p["shape"]), p["frozen"]) for p in h["params"]]
+        moments, step_count, meta = h["moments"], h["step_count"], h["meta"]
+        unknown = set(moments) - {p[0] for p in params}
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
+        raise CheckpointError(f"malformed header: {exc}") from exc
+    layout = {}
+    for name, code, shape, frozen in params:
+        if code not in _CODES.values():
+            raise CheckpointError(f"unknown dtype {code!r} of parameter {name!r}")
+        if not (isinstance(name, str) and name not in layout and isinstance(frozen, bool)
+                and all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise CheckpointError(f"malformed or repeated header entry for parameter {name!r}")
+        layout[name] = (np.dtype("<" + code), shape)
+    if unknown or len(set(moments)) != len(moments):
+        raise CheckpointError(f"Adam moments for unknown or repeated parameters {unknown or moments}")
+    if not (isinstance(step_count, int) and step_count >= 0 and isinstance(meta, dict)):
+        raise CheckpointError("malformed header: step count or meta")
+    order = list(layout.values()) + [layout[name] for name in moments for _ in "mv"]
+    size = sum(dt.itemsize * math.prod(shape) for dt, shape in order)
+    if len(buf) - start != size:
+        raise CheckpointError(f"payload holds {len(buf) - start} bytes, the header describes {size}")
+    arrays = []
+    for dt, shape in order:
+        count = math.prod(shape)
+        arrays.append(np.frombuffer(buf, dt, count, start).reshape(shape).astype(dt.newbyteorder("=")))
+        start += count * dt.itemsize
     store = ParameterStore()
-    frozen_names = []
-    for _ in range(n_params):
-        (name_len,) = r.unpack("<H")
-        name = r.raw(name_len).decode("utf-8")
-        tag, frozen, rank = r.unpack("<BBB")
-        dims = r.unpack(f"<{rank}I") if rank else ()
-        dt = _TAG_DTYPES[tag]
-        count = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(r.raw(count * dt.itemsize), dtype=dt).reshape(dims)
-        native = np.float64 if tag == 0 else np.float32
-        store.add(name, Tensor(arr.astype(native), requires_grad=True, dtype=native))
-        if frozen:
-            frozen_names.append(name)
-    step_count, n_moments = r.unpack("<QI")
+    for (name, _, _, frozen), arr in zip(params, arrays):
+        store.add(name, Tensor(arr, dtype=arr.dtype)).requires_grad = not frozen
+    n = len(params)
+    for name, m, v in zip(moments, arrays[n::2], arrays[n + 1 :: 2]):
+        store._m[name], store._v[name] = m, v
     store.step_count = step_count
-    for _ in range(n_moments):
-        (name_len,) = r.unpack("<H")
-        name = r.raw(name_len).decode("utf-8")
-        (tag,) = r.unpack("<B")
-        dt = _TAG_DTYPES[tag]
-        shape = store[name].data.shape
-        count = int(np.prod(shape)) if shape else 1
-        native = np.float64 if tag == 0 else np.float32
-        store._m[name] = np.frombuffer(r.raw(count * dt.itemsize), dtype=dt).reshape(shape).astype(native)
-        store._v[name] = np.frombuffer(r.raw(count * dt.itemsize), dtype=dt).reshape(shape).astype(native)
-    (meta_len,) = r.unpack("<I")
-    meta = json.loads(r.raw(meta_len).decode("utf-8"))
-    for name in frozen_names:
-        store.freeze(name)
     return store, meta

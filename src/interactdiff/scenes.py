@@ -113,10 +113,6 @@ VOCAB = ToyVocabulary()
 # triplet class helpers -----------------------------------------------------
 
 
-def triplet_class(s: int, a: int, o: int) -> tuple[int, int, int]:
-    return (s, a, o)
-
-
 def all_triplet_classes() -> list[tuple[int, int, int]]:
     return [
         (s, a, o)
@@ -126,8 +122,12 @@ def all_triplet_classes() -> list[tuple[int, int, int]]:
     ]
 
 
+# instance slots a dataset gives each rare triplet class at most
+RARE_CAP = 8
+
+
 def rare_triplet_classes() -> set[tuple[int, int, int]]:
-    """Deterministic 20% subset held to <= 10 training occurrences."""
+    """Deterministic 20% subset, held to RARE_CAP occurrences per dataset."""
     classes = all_triplet_classes()
     return {c for i, c in enumerate(classes) if i % 5 == 0}
 
@@ -347,7 +347,6 @@ def _place_pair(rng, region, action: str):
         left_x = _randint(rng, rx0, rx1 - total)
         # vertical overlap of at least 2 px
         ov = 2
-        lo = max(ry0, ry0)
         sy0 = _randint(rng, ry0, ry1 - hs)
         oy0_lo = max(ry0, sy0 - ho + ov)
         oy0_hi = min(ry1 - ho, sy0 + hs - ov)
@@ -435,18 +434,12 @@ def generate_scene(rng_seed: int, config: SceneConfig | None = None) -> SceneSpe
     raise GenerationError("unreachable")
 
 
-def build_dataset(
-    count: int,
-    seed: int,
-    config: SceneConfig | None = None,
-    rare_cap: int | None = 8,
-    balance_tol: float = 0.2,
-) -> list[SceneSpec]:
+def build_dataset(count: int, seed: int, config: SceneConfig | None = None) -> list[SceneSpec]:
     """Generate a class-balanced dataset of `count` scenes.
 
-    Rare triplet classes (20% of the space) are held to `rare_cap` total
-    occurrences; the remaining classes share the other slots within
-    +-`balance_tol` of uniform.
+    Each rare triplet class (20% of the space) fills at most RARE_CAP
+    instance slots; the common classes share the other slots evenly, the
+    remainder going to a random subset of them, one slot each.
     """
     config = config or SceneConfig()
     rng = np.random.default_rng(seed)
@@ -454,20 +447,17 @@ def build_dataset(
         return []
     per_scene = [_randint(rng, 1, config.n_max) for _ in range(count)]
     total_slots = sum(per_scene)
-    classes = all_triplet_classes()
-    rare = sorted(rare_triplet_classes())
-    common = [c for c in classes if c not in set(rare)]
+    rare = rare_triplet_classes()
+    common = [c for c in all_triplet_classes() if c not in rare]
     schedule: list[tuple[int, int, int]] = []
-    if rare_cap is not None:
-        for c in rare:
-            schedule += [c] * min(rare_cap, max(0, total_slots - len(schedule)))
+    for c in sorted(rare):
+        schedule += [c] * min(RARE_CAP, max(0, total_slots - len(schedule)))
     remaining = total_slots - len(schedule)
-    pool = common if rare_cap is not None else classes
-    reps = remaining // len(pool)
-    schedule += pool * reps
-    extra = remaining - reps * len(pool)
-    extra_idx = rng.permutation(len(pool))[:extra]
-    schedule += [pool[int(i)] for i in extra_idx]
+    reps = remaining // len(common)
+    schedule += common * reps
+    extra = remaining - reps * len(common)
+    extra_idx = rng.permutation(len(common))[:extra]
+    schedule += [common[int(i)] for i in extra_idx]
     schedule = [schedule[int(i)] for i in rng.permutation(len(schedule))]
     scenes = []
     pos = 0

@@ -4,6 +4,9 @@ These deliberately avoid the library's own gradient machinery: finite
 differences perturb raw numpy buffers and re-run the forward function.
 """
 
+import json
+import struct
+
 import numpy as np
 
 from interactdiff.numerics import Tensor
@@ -82,3 +85,45 @@ def mmd2_full_ustat(x, y, kernel):
         xy = sum(kernel(x[i], y[j]) for i in range(m) for j in range(n))
         cross = 2.0 * xy / (m * n)
     return xx / (m * (m - 1)) + yy / (n * (n - 1)) - cross
+
+
+# one fault per malformed-checkpoint case, with a pattern its error matches
+CHECKPOINT_FAULTS = {
+    "magic": "magic",
+    "version": "version 1",
+    "utf8": "malformed header",
+    "json": "malformed header",
+    "dtype": "unknown dtype 'f2'",
+    "moment": "no.such.param",
+    "short": "payload",
+    "trailing": "payload",
+}
+
+
+def corrupt_checkpoint(data: bytes, fault: str) -> bytes:
+    """Checkpoint bytes with one fault from CHECKPOINT_FAULTS. The layout
+    (magic | u32 version | u32 header length | JSON header | arrays) is
+    decoded here with struct and json, not with the library's reader. The
+    "moment" fault needs a checkpoint with Adam moments."""
+    prefix = struct.Struct("<4sII")
+    magic, version, n = prefix.unpack_from(data)
+    header, payload = data[prefix.size : prefix.size + n], data[prefix.size + n :]
+    if fault == "magic":
+        return b"XXXX" + data[4:]
+    if fault == "version":
+        return prefix.pack(magic, 1, n) + data[prefix.size :]
+    if fault in ("utf8", "json"):
+        return data[: prefix.size] + (b"\xff" if fault == "utf8" else b"x") + data[prefix.size + 1 :]
+    if fault == "short":
+        return data[:-1]
+    if fault == "trailing":
+        return data + b"\0"
+    h = json.loads(header)
+    if fault == "dtype":
+        h["params"][0]["dtype"] = "f2"
+    elif fault == "moment":
+        h["moments"][0] = "no.such.param"
+    else:
+        raise ValueError(f"unknown fault {fault!r}")
+    blob = json.dumps(h).encode("utf-8")
+    return prefix.pack(magic, version, len(blob)) + blob + payload

@@ -14,6 +14,8 @@ from interactdiff.errors import CheckpointError, ConfigError
 from interactdiff.numerics import ParameterStore, Tensor, load_checkpoint, save_checkpoint
 from interactdiff.scenes import SceneSpec, read_ppm, write_ppm
 
+from oracles import CHECKPOINT_FAULTS, corrupt_checkpoint
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -54,9 +56,9 @@ def test_run_config_defaults():
 
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("omega = 0.5\nsteps = 25  # comment\ngate_low_noise_end = true\n")
+    path.write_text("omega = 0.5\nsteps = 25  # comment\n")
     cfg = load_run_config(path)
-    assert cfg.omega == 0.5 and cfg.steps == 25 and cfg.gate_low_noise_end is True
+    assert cfg.omega == 0.5 and cfg.steps == 25
 
 
 def test_config_file_reaches_model_and_train_config(tmp_path):
@@ -248,11 +250,10 @@ def test_sample_omega_zero_matches_base_checkpoint(mini, tmp_path):
     assert a == b
 
 
-def test_sample_corrupt_checkpoint(mini, tmp_path):
+@pytest.mark.parametrize("fault", CHECKPOINT_FAULTS)
+def test_sample_corrupt_checkpoint(mini, tmp_path, fault):
     bad = tmp_path / "bad.ckpt"
-    data = bytearray((mini / "run" / "phase2_final.ckpt").read_bytes())
-    data[:4] = b"XXXX"
-    bad.write_bytes(bytes(data))
+    bad.write_bytes(corrupt_checkpoint((mini / "run" / "phase2_final.ckpt").read_bytes(), fault))
     code = run(["sample", "--ckpt", bad, "--scene-json", mini / "data" / "scenes.jsonl",
                 "--out", tmp_path / "o"])
     assert code == 3
@@ -275,6 +276,19 @@ def test_mismatched_checkpoint_rejected(mini, tmp_path, fault, culprit):
     path = tmp_path / "bad.ckpt"
     save_checkpoint(bad, path, meta=meta)
     with pytest.raises(CheckpointError, match=culprit):
+        InteractionDiffusionModel.load(path)
+    code = run(["sample", "--ckpt", path, "--scene-json", mini / "data" / "scenes.jsonl",
+                "--out", tmp_path / "o"])
+    assert code == 3
+
+
+@pytest.mark.parametrize("model", [None, {"no_such_field": 1}, [16]],
+                         ids=["missing", "unknown-field", "not-a-mapping"])
+def test_checkpoint_without_valid_model_config_rejected(mini, tmp_path, model):
+    store, meta = load_checkpoint(mini / "run" / "phase2_final.ckpt")
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(store, path, meta={} if model is None else dict(meta, model=model))
+    with pytest.raises(CheckpointError, match="model config"):
         InteractionDiffusionModel.load(path)
     code = run(["sample", "--ckpt", path, "--scene-json", mini / "data" / "scenes.jsonl",
                 "--out", tmp_path / "o"])

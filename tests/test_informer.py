@@ -50,11 +50,6 @@ def test_eta_schedule_float_error_adds_no_step(omega, T, gated):
     assert sum(eta_schedule(t, cfg) for t in range(1, T + 1)) == gated
 
 
-def test_eta_schedule_low_noise_variant():
-    cfg = SamplerConfig(omega=0.8, total_steps=50, gate_low_noise_end=True)
-    assert [eta_schedule(t, cfg) for t in (1, 10, 11, 50)] == [0, 0, 1, 1]
-
-
 def test_eta_monotone_in_omega():
     T = 50
     for t in range(1, T + 1):

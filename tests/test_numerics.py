@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interactdiff.numerics as N
-from interactdiff.errors import ContractError, NumericError, ShapeError
+from interactdiff.errors import CheckpointError, ContractError, NumericError, ShapeError
 from interactdiff.layers import GroupNorm
 from interactdiff.numerics import (
     ParameterStore,
@@ -16,7 +16,7 @@ from interactdiff.numerics import (
     save_checkpoint,
 )
 
-from oracles import check_gradients
+from oracles import CHECKPOINT_FAULTS, check_gradients, corrupt_checkpoint
 
 RNG = np.random.default_rng(0)
 
@@ -301,6 +301,19 @@ class TestCheckpoint:
         assert loaded["w"].data.dtype == np.float32
         assert loaded["w"].data.tobytes() == store["w"].data.tobytes()
 
+    def test_frozen_flag_is_per_name(self, tmp_path):
+        """A frozen parameter whose name prefixes a trainable one's leaves
+        the trainable one trainable after a round trip."""
+        store = ParameterStore()
+        store.add("w", Tensor([1.0]))
+        store.add("w2", Tensor([2.0]))
+        store.freeze("w")  # by prefix: freezes "w2" too
+        store.unfreeze("w2")
+        path = tmp_path / "ck.bin"
+        save_checkpoint(store, path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.is_frozen("w") and not loaded.is_frozen("w2")
+
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         store = ParameterStore()
         store.add("w", Tensor([1.0, 2.0]))
@@ -318,12 +331,18 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ck.bin"]
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bogus.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        from interactdiff.errors import CheckpointError
-
-        with pytest.raises(CheckpointError, match="magic"):
+    @pytest.mark.parametrize("fault", CHECKPOINT_FAULTS)
+    def test_bad_magic(self, tmp_path, fault):
+        """Every malformed file raises CheckpointError: bad magic, version 1,
+        a header that is not UTF-8 or not JSON, an unknown dtype, moments of
+        an unknown parameter, a short payload, trailing bytes."""
+        store = ParameterStore()
+        store.add("w", Tensor([1.0, 2.0]))
+        store._m["w"], store._v["w"] = np.array([0.5, 0.5]), np.array([0.25, 0.25])
+        path = tmp_path / "ck.bin"
+        save_checkpoint(store, path)
+        path.write_bytes(corrupt_checkpoint(path.read_bytes(), fault))
+        with pytest.raises(CheckpointError, match=CHECKPOINT_FAULTS[fault]):
             load_checkpoint(path)
 
     def test_duplicate_name_rejected(self):
