@@ -32,7 +32,6 @@ from .errors import (
 )
 from . import numerics as N
 from .evaluation import (
-    DetectorConfig,
     detect,
     detection_map,
     image_features,
@@ -327,21 +326,19 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
     return 0
 
 
-def evaluate_images(images, specs, real_images, cfg: RunConfig):
-    """Detection mAP + distribution distance for generated images vs their
-    conditioning scenes."""
-    det_cfg = DetectorConfig()
-    detections = [detect(img, det_cfg) for img in images]
+def _features(images, detections):
+    return np.stack([image_features(img, dets) for img, dets in zip(images, detections)])
+
+
+def evaluate_images(images, specs, feats_real, cfg: RunConfig, detections=None):
+    """Detection mAP of generated images vs their conditioning scenes, and
+    KID against the real images' features `feats_real` (None: no KID)."""
+    if detections is None:
+        detections = [detect(img) for img in images]
     gts = [list(s.interactions) for s in specs]
     report = detection_map(detections, gts, iou_thresh=cfg.iou_thresh)
-    if real_images is not None and len(images) >= 100 and len(real_images) >= 100:
-        feats_gen = np.stack(
-            [image_features(img, dets, det_cfg) for img, dets in zip(images, detections)]
-        )
-        feats_real = np.stack(
-            [image_features(img, config=det_cfg) for img in real_images]
-        )
-        kid, kid_err = kid_analog(feats_real, feats_gen)
+    if feats_real is not None and len(images) >= 100 and len(feats_real) >= 100:
+        kid, kid_err = kid_analog(feats_real, _features(images, detections))
         report.kid = kid
         report.config_echo["kid_stderr"] = kid_err
     return report
@@ -368,19 +365,25 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         raise ConfigError(f"bad --omega-sweep: {args.omega_sweep!r}") from exc
     if any(not 0.0 <= w <= 1.0 for w in omegas):
         raise ConfigError("all sweep omegas must be in [0,1]")
-    rows = []
+    model = None if args.use_renders else InteractionDiffusionModel.load(args.ckpt)[0]
+    # the real images' features do not depend on omega: detect them once
+    real_dets = feats_real = None
+    if args.use_renders or len(real_images) >= 100:
+        real_dets = [detect(img) for img in real_images]
+    if len(real_images) >= 100:
+        feats_real = _features(real_images, real_dets)
     if args.use_renders:
-        report = evaluate_images(real_images, specs, real_images, cfg)
+        report = evaluate_images(real_images, specs, feats_real, cfg, real_dets)
         report.config_echo.update(cfg.to_dict())
         with open(os.path.join(args.out, "report_renders.json"), "w") as fh:
             fh.write(report.to_json() + "\n")
         report.write_csv(os.path.join(args.out, "per_class_ap_renders.csv"))
         print(f"renders: map_full={report.map_full:.4f} map_rare={report.map_rare:.4f}")
         return 0
-    model, _ = InteractionDiffusionModel.load(args.ckpt)
+    rows = []
     for omega in omegas:
         images, _ = _sample_batched(model, specs, cfg, omega, cfg.sample_seed)
-        report = evaluate_images(images, specs, real_images, cfg)
+        report = evaluate_images(images, specs, feats_real, cfg)
         report.config_echo.update(cfg.to_dict())
         report.config_echo["omega"] = omega
         tag = f"omega{omega:.2f}"

@@ -94,38 +94,6 @@ class LayerNorm:
 NEG_MASK = -1e30  # additive mask; exp underflows to exactly 0 after max-shift
 
 
-def multi_head_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    n_heads: int,
-    key_mask: np.ndarray | None = None,
-    logit_bias: Tensor | None = None,
-) -> Tensor:
-    """Scaled dot-product attention.
-
-    q: (B, Sq, D); k, v: (B, Sk, D); key_mask: boolean (B, Sk), True = valid.
-    logit_bias: optional additive pre-softmax bias, broadcastable to (Sk,).
-    Returns (B, Sq, D).
-    """
-    B, Sq, D = q.shape
-    Sk = k.shape[1]
-    dh = D // n_heads
-    q = q * (1.0 / np.sqrt(dh))
-    qh = q.reshape(B, Sq, n_heads, dh).transpose(0, 2, 1, 3)  # (B, H, Sq, dh)
-    kt = k.reshape(B, Sk, n_heads, dh).transpose(0, 2, 3, 1)  # (B, H, dh, Sk)
-    vh = v.reshape(B, Sk, n_heads, dh).transpose(0, 2, 1, 3)  # (B, H, Sk, dh)
-    scores = qh @ kt
-    if logit_bias is not None:
-        scores = scores + logit_bias
-    if key_mask is not None:
-        add = np.where(key_mask, 0.0, NEG_MASK)[:, None, None, :]
-        scores = scores + Tensor(add)
-    attn = N.softmax(scores, axis=-1)
-    out = attn @ vh  # (B, H, Sq, dh)
-    return out.transpose(0, 2, 1, 3).reshape(B, Sq, D)
-
-
 class AttentionLayer:
     """Multi-head attention with learned q/k/v/out projections."""
 
@@ -141,8 +109,11 @@ class AttentionLayer:
 
     def __call__(self, q_in: Tensor, kv_in: Tensor, key_mask=None,
                  logit_bias=None) -> Tensor:
-        out = multi_head_attention(
-            self.wq(q_in), self.wk(kv_in), self.wv(kv_in), self.n_heads,
-            key_mask, logit_bias
-        )
+        """key_mask: boolean (B, Sk), True = valid; it is added, as NEG_MASK on
+        invalid keys, to logit_bias (a Tensor broadcasting to (B, H, Sq, Sk))."""
+        if key_mask is not None:
+            mask = Tensor(np.where(key_mask, 0.0, NEG_MASK)[:, None, None, :])
+            logit_bias = mask if logit_bias is None else logit_bias + mask
+        out = N.attention(self.wq(q_in), self.wk(kv_in), self.wv(kv_in),
+                          self.n_heads, logit_bias)
         return self.wo(out)

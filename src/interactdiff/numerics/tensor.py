@@ -14,6 +14,7 @@ produces non-finite values; training loops may switch it off for speed.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -464,21 +465,46 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis`."""
-    a = as_tensor(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.  q: (B, Sq, D);
+    k, v: (B, Sk, D); bias: optional additive Tensor broadcasting to the
+    (B, H, Sq, Sk) logits.  Returns (B, Sq, D).  Backward keeps only the
+    probabilities p: dv = p^T g, ds = p * (g v^T - rowsum), dq, dk, dbias from ds.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    B, Sq, D = q.data.shape
+    Sk = k.data.shape[1]
+    dh = D // n_heads
+    scale = 1.0 / math.sqrt(dh)
+    qh = (q.data * scale).reshape(B, Sq, n_heads, dh).transpose(0, 2, 1, 3)
+    kt = k.data.reshape(B, Sk, n_heads, dh).transpose(0, 2, 3, 1)
+    vh = v.data.reshape(B, Sk, n_heads, dh).transpose(0, 2, 1, 3)
+    p = qh @ kt
+    if bias is not None:
+        p += bias.data
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ vh).transpose(0, 2, 1, 3).reshape(B, Sq, D)
 
     def backward(g):
-        if a.requires_grad:
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            a._accumulate(data * (g - dot))
+        g = g.reshape(B, Sq, n_heads, dh).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            gv = np.swapaxes(p, -1, -2) @ g
+            v._accumulate(gv.transpose(0, 2, 1, 3).reshape(B, Sk, D))
+        ds = g @ np.swapaxes(vh, -1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(ds, bias.data.shape))
+        if q.requires_grad:
+            gq = ds @ np.swapaxes(kt, -1, -2)
+            q._accumulate(gq.transpose(0, 2, 1, 3).reshape(B, Sq, D) * scale)
+        if k.requires_grad:
+            gk = np.swapaxes(qh, -1, -2) @ ds
+            k._accumulate(gk.transpose(0, 3, 1, 2).reshape(B, Sk, D))
 
-    return _make(data, (a,), backward, "softmax")
+    return _make(out, (q, k, v) if bias is None else (q, k, v, bias), backward, "attention")
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5, axis=-1) -> Tensor:
@@ -536,8 +562,9 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation of channels-last input via im2col + one GEMM.
 
     x: (B, H, W, Cin); w: (Cout, Cin, kh, kw); b: (Cout,) or None.
-    Returns (B, Ho, Wo, Cout).  The sliding window of channels-last input is
-    already in (B, Ho, Wo, Cin, kh, kw) column order, so im2col is one copy.
+    Returns (B, Ho, Wo, Cout).  The columns are in (kh, kw, Cin) order, so
+    im2col is kh*kw strided slice copies into contiguous (..., Cin) runs and
+    col2im adds the same slices back; the weight is permuted to match.
     """
     x, w = as_tensor(x), as_tensor(w)
     if b is not None:
@@ -551,11 +578,13 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     xp = x.data
     if padding:
         xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    col = np.ascontiguousarray(win[:, ::stride, ::stride]).reshape(
-        B * Ho * Wo, Cin * kh * kw
-    )
-    wmat = w.data.reshape(Cout, Cin * kh * kw)
+    windows = [(slice(None), slice(i, i + stride * Ho, stride), slice(j, j + stride * Wo, stride))
+               for i in range(kh) for j in range(kw)]
+    col = np.empty((B, Ho, Wo, kh * kw, Cin), dtype=xp.dtype)
+    for n, win in enumerate(windows):
+        col[:, :, :, n] = xp[win]
+    col = col.reshape(B * Ho * Wo, kh * kw * Cin)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(Cout, -1)
     out = (col @ wmat.T).reshape(B, Ho, Wo, Cout)
     if b is not None:
         out += b.data
@@ -566,17 +595,12 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
             b._accumulate(gmat.sum(axis=0))
         if w.requires_grad:
             gw = gmat.T @ col
-            w._accumulate(gw.reshape(Cout, Cin, kh, kw))
+            w._accumulate(gw.reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            gcol = (gmat @ wmat).reshape(B, Ho, Wo, Cin, kh, kw)
-            gxp = np.zeros(
-                (B, H + 2 * padding, W + 2 * padding, Cin), dtype=x.data.dtype
-            )
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i : i + stride * Ho : stride, j : j + stride * Wo : stride] += (
-                        gcol[..., i, j]
-                    )
+            gcol = (gmat @ wmat).reshape(B, Ho, Wo, kh * kw, Cin)
+            gxp = np.zeros(xp.shape, dtype=x.data.dtype)
+            for n, win in enumerate(windows):
+                gxp[win] += gcol[:, :, :, n]
             if padding:
                 gxp = gxp[:, padding:-padding, padding:-padding]
             x._accumulate(gxp)

@@ -1,7 +1,9 @@
 """Independent oracles shared by the test suite.
 
 These deliberately avoid the library's own gradient machinery: finite
-differences perturb raw numpy buffers and re-run the forward function.
+differences perturb raw numpy buffers and re-run the forward function.  The
+one exception is `composed_attention`, the graph of primitive nodes that the
+fused attention op replaces; it is the bitwise reference for that op.
 """
 
 import json
@@ -10,6 +12,7 @@ import struct
 import numpy as np
 
 from interactdiff.numerics import Tensor
+from interactdiff.numerics.tensor import _make
 
 
 def fd_gradient(func, arrays, index, h=1e-5):
@@ -50,6 +53,38 @@ def check_gradients(func, arrays, rtol=1e-4, h=1e-5):
         scale = np.maximum(np.abs(num), 1.0)
         err = np.max(np.abs(ana - num) / scale)
         assert err <= rtol, f"gradient mismatch on input {i}: max rel err {err:.3e}"
+
+
+def softmax(a, axis=-1):
+    """Stable softmax as its own graph node, out of place."""
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        if a.requires_grad:
+            dot = (g * data).sum(axis=axis, keepdims=True)
+            a._accumulate(data * (g - dot))
+
+    return _make(data, (a,), backward, "softmax")
+
+
+def composed_attention(q, k, v, n_heads, bias=None):
+    """Multi-head attention composed from primitive graph nodes: scale, head
+    split, q k^T, + bias, softmax, @ v, head merge.  The fused
+    `numerics.attention` must match it bit for bit, forward and backward."""
+    B, Sq, D = q.shape
+    Sk = k.shape[1]
+    dh = D // n_heads
+    q = q * (1.0 / np.sqrt(dh))
+    qh = q.reshape(B, Sq, n_heads, dh).transpose(0, 2, 1, 3)  # (B, H, Sq, dh)
+    kt = k.reshape(B, Sk, n_heads, dh).transpose(0, 2, 3, 1)  # (B, H, dh, Sk)
+    vh = v.reshape(B, Sk, n_heads, dh).transpose(0, 2, 1, 3)  # (B, H, Sk, dh)
+    scores = qh @ kt
+    if bias is not None:
+        scores = scores + bias
+    out = softmax(scores) @ vh  # (B, H, Sq, dh)
+    return out.transpose(0, 2, 1, 3).reshape(B, Sq, D)
 
 
 def between_bruteforce(bs, bo):

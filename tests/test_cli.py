@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from interactdiff import diffusion
+from interactdiff import cli, diffusion, evaluation
 from interactdiff.cli import RunConfig, build_parser, load_run_config, main
 from interactdiff.diffusion import InteractionDiffusionModel, ModelConfig, TrainConfig
 from interactdiff.errors import CheckpointError, ConfigError
@@ -340,6 +340,47 @@ def test_eval_sweep_rows(mini, tmp_path):
     assert len(lines) == 4
     for w in ("0.00", "0.50", "1.00"):
         assert (out / f"report_omega{w}.json").exists()
+
+
+def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
+    """A 3-omega sweep over 100 conditions runs the detector once per real
+    image, and its reports equal ones whose real-image features are detected
+    afresh for every omega.  The sampler is replaced by negated renders, so
+    generated and real images differ and the test needs no denoising."""
+    data = tmp_path / "data"
+    assert run(["gen-data", "--out", data, "--count", 100, "--seed", 4]) == 0
+    pairs = cli._load_pairs(data)
+    real = {img.tobytes() for _, img in pairs}
+    monkeypatch.setattr(cli, "_sample_batched",
+                        lambda model, specs, cfg, omega, seed: ([-img for _, img in pairs], None))
+    seen, detect = [], evaluation.detect
+
+    def counting_detect(img, config=None):
+        seen.append(img.tobytes())
+        return detect(img, config)
+
+    monkeypatch.setattr(cli, "detect", counting_detect)
+    monkeypatch.setattr(evaluation, "detect", counting_detect)
+    out = tmp_path / "out"
+    assert run(["eval", "--config", mini / "tiny.cfg", "--ckpt", mini / "run" / "phase2_final.ckpt",
+                "--data", data, "--count", 100, "--omega-sweep", "0,0.5,1", "--out", out]) == 0
+    assert sorted(b for b in seen if b in real) == sorted(real)
+    assert len(seen) == 4 * 100
+    monkeypatch.undo()
+
+    gts = [list(spec.interactions) for spec, _ in pairs]
+    feats_real = np.stack([evaluation.image_features(img) for _, img in pairs])
+    images = [-img for _, img in pairs]
+    dets = [evaluation.detect(img) for img in images]
+    feats_gen = np.stack([evaluation.image_features(img, d) for img, d in zip(images, dets)])
+    for omega in (0.0, 0.5, 1.0):
+        report = evaluation.detection_map(dets, gts, iou_thresh=0.5)
+        report.kid, kid_err = evaluation.kid_analog(feats_real, feats_gen)
+        report.config_echo["kid_stderr"] = kid_err
+        report.config_echo.update(load_run_config(mini / "tiny.cfg", {"eval_count": 100}).to_dict())
+        report.config_echo["omega"] = omega
+        assert report.kid is not None
+        assert (out / f"report_omega{omega:.2f}.json").read_text() == report.to_json() + "\n"
 
 
 def test_eval_empty_test_set(tmp_path, mini):

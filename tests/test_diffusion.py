@@ -290,11 +290,11 @@ def _graph_ops(loss) -> dict:
     return ops
 
 
-@pytest.mark.parametrize("phase,bound", [(1, 249), (2, 267)])
-def test_loss_graph_size(phase, bound):
-    """Channels-last activations need no layout shuffles: the only transposes
-    are four per attention (three head splits, one merge; one softmax each)
-    and the one giving forward its (B, 3, S, S) output."""
+@pytest.mark.parametrize("phase,bound,n_attention", [(1, 180, 6), (2, 185, 8)])
+def test_loss_graph_size(phase, bound, n_attention):
+    """Channels-last activations need no layout shuffles and each attention
+    is one fused node: the only transpose gives forward its (B, 3, S, S)
+    output, and there is no softmax or swapaxes node."""
     model = InteractionDiffusionModel(TINY)
     model.store.unfreeze("base." if phase == 1 else "inter.")
     model.store.freeze("inter." if phase == 1 else "base.")
@@ -302,8 +302,9 @@ def test_loss_graph_size(phase, bound):
     batch = make_batch(tiny_dataset(), rng, 4, 0.0, with_interactions=phase == 2)
     ops = _graph_ops(loss_step(model, batch, rng))
     assert sum(ops.values()) <= bound
-    assert "swapaxes" not in ops
-    assert ops["transpose"] == 4 * ops["softmax"] + 1
+    assert ops["transpose"] == 1
+    assert "softmax" not in ops and "swapaxes" not in ops
+    assert ops["attention"] == n_attention
 
 
 def test_checkpoint_round_trip_forward(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import interactdiff.numerics as N
 from interactdiff.errors import CheckpointError, ContractError, NumericError, ShapeError
-from interactdiff.layers import GroupNorm
+from interactdiff.layers import NEG_MASK, GroupNorm
 from interactdiff.numerics import (
     ParameterStore,
     Tensor,
@@ -16,7 +16,7 @@ from interactdiff.numerics import (
     save_checkpoint,
 )
 
-from oracles import CHECKPOINT_FAULTS, check_gradients, corrupt_checkpoint
+from oracles import CHECKPOINT_FAULTS, check_gradients, composed_attention, corrupt_checkpoint
 
 RNG = np.random.default_rng(0)
 
@@ -42,28 +42,67 @@ class TestMatmul:
             N.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+def _probs(logits):
+    """Attention probabilities of one query over len(logits) keys: one head,
+    q = k = 0 and the logits as bias, so with v = I the output row is p."""
+    n = len(logits)
+    bias = Tensor(np.reshape(logits, (1, 1, 1, n)))
+    out = N.attention(Tensor(np.zeros((1, 1, n))), Tensor(np.zeros((1, n, n))),
+                      Tensor(np.eye(n)[None]), 1, bias)
+    return out.data[0, 0]
+
+
 class TestSoftmax:
     def test_uniform(self):
-        out = N.softmax(Tensor([0.0, 0.0, 0.0])).data
+        out = _probs([0.0, 0.0, 0.0])
         assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_no_overflow(self):
-        out = N.softmax(Tensor([1000.0, 0.0])).data
+        out = _probs([1000.0, 0.0])
         assert abs(out[0] - 1.0) < 1e-12 and abs(out[1]) < 1e-12
 
     def test_closed_form(self):
-        out = N.softmax(Tensor([np.log(2.0), 0.0])).data
+        out = _probs([np.log(2.0), 0.0])
         assert np.allclose(out, [2 / 3, 1 / 3], atol=1e-15)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_simplex(self, vals):
-        out = N.softmax(Tensor(vals)).data
+        out = _probs(vals)
         assert np.all(out >= 0)
         assert abs(out.sum() - 1.0) <= 1e-12
 
-    def test_bad_axis(self):
-        with pytest.raises(ShapeError):
-            N.softmax(Tensor([1.0, 2.0]), axis=3)
+
+ATTENTION_BIASES = {
+    "none": lambda rng, B, H, Sk: None,
+    "masked_key": lambda rng, B, H, Sk: Tensor(
+        np.where(np.arange(Sk) < Sk - 1, 0.0, NEG_MASK)[None, None, None, :]
+        * np.ones((B, 1, 1, 1))),
+    "grad_bias": lambda rng, B, H, Sk: Tensor(rng.normal(size=(H, 1, Sk)), requires_grad=True),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ATTENTION_BIASES)
+def test_attention_bitwise_equals_composed_graph(case, dtype):
+    """The fused node and the composed oracle give the same bits: the output
+    and the q, k, v and bias gradients."""
+    B, Sq, Sk, D, H = 2, 5, 7, 8, 2
+
+    def run(fn):
+        rng = np.random.default_rng(31)
+        with N.dtype_mode(dtype):
+            q, k, v = (Tensor(rng.normal(size=s), requires_grad=True)
+                       for s in [(B, Sq, D), (B, Sk, D), (B, Sk, D)])
+            bias = ATTENTION_BIASES[case](rng, B, H, Sk)
+            out = fn(q, k, v, H, bias)
+            (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        grads = [t.grad for t in (q, k, v, bias) if t is not None and t.requires_grad]
+        return [out.data] + grads
+
+    fused, composed = run(N.attention), run(composed_attention)
+    assert fused[0].dtype == dtype and len(fused) == (5 if case == "grad_bias" else 4)
+    for a, b in zip(fused, composed):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestLayerNorm:
@@ -104,9 +143,9 @@ class TestBackward:
     def test_deterministic_bitwise(self):
         def run():
             rng = np.random.default_rng(7)
-            x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+            x = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-            y = N.softmax(x @ w, axis=-1)
+            y = N.attention(x @ w, x, x, 2)
             (N.tanh(y) * N.silu(x)).sum().backward()
             return x.grad.tobytes(), w.grad.tobytes()
 
@@ -132,7 +171,8 @@ FD_CASES = [
     ("mul", lambda a, b: (a * b * a).sum(), [(2, 5), (2, 5)]),
     ("matmul", lambda a, b: (a @ b).sum(), [(3, 4), (4, 2)]),
     ("batched_matmul", lambda a, b: (a @ b).sum(), [(2, 3, 4), (2, 4, 3)]),
-    ("softmax", lambda a: (N.softmax(a, axis=-1) * N.softmax(a, axis=-1)).sum(), [(3, 5)]),
+    ("attention", lambda q, k, v: (N.attention(q, k, v, 2) ** 2.0).sum(), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+    ("attention_bias", lambda q, k, v, b: (N.attention(q, k, v, 2, b) ** 2.0).sum(), [(1, 3, 4), (1, 5, 4), (1, 5, 4), (2, 1, 5)]),
     ("layer_norm", lambda x, g, b: (N.layer_norm(x, g, b) ** 2.0).sum(), [(4, 6), (6,), (6,)]),
     ("group_norm", lambda x, g, b: (N.layer_norm(x, g, b, axis=(1, 3)) ** 2.0).sum(), [(2, 4, 3, 2), (3, 2), (3, 2)]),
     ("tanh", lambda a: N.tanh(a).sum(), [(7,)]),
@@ -159,33 +199,55 @@ def test_gradients_match_finite_differences(name, func, shapes):
         check_gradients(func, arrays, rtol=1e-4, h=1e-5)
 
 
-def _conv_loops(x, w, b, stride, padding):
-    """Direct cross-correlation of channels-last x, one output value at a time."""
+def _conv_loops(x, w, b, stride, padding, g):
+    """Direct cross-correlation of channels-last x, one output value at a
+    time, and the gradients of sum(out * g) for x, w and b."""
     B, H, W, Cin = x.shape
     Cout, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     Ho = (H + 2 * padding - kh) // stride + 1
     Wo = (W + 2 * padding - kw) // stride + 1
     out = np.zeros((B, Ho, Wo, Cout))
+    gxp, gw, gb = np.zeros_like(xp), np.zeros_like(w), np.zeros_like(b)
     for n in range(B):
         for i in range(Ho):
             for j in range(Wo):
                 for co in range(Cout):
                     acc = b[co]
+                    gb[co] += g[n, i, j, co]
                     for ci in range(Cin):
                         for di in range(kh):
                             for dj in range(kw):
-                                acc += xp[n, i * stride + di, j * stride + dj, ci] * w[co, ci, di, dj]
+                                r, c = i * stride + di, j * stride + dj
+                                acc += xp[n, r, c, ci] * w[co, ci, di, dj]
+                                gxp[n, r, c, ci] += g[n, i, j, co] * w[co, ci, di, dj]
+                                gw[co, ci, di, dj] += g[n, i, j, co] * xp[n, r, c, ci]
                     out[n, i, j, co] = acc
-    return out
+    return out, gxp[:, padding:H + padding, padding:W + padding], gw, gb
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_matches_direct_loops(stride):
     rng = np.random.default_rng(11)
     x, w, b = rng.normal(size=(2, 5, 6, 3)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
-    out = N.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1).data
-    assert np.allclose(out, _conv_loops(x, w, b, stride, 1), rtol=1e-12, atol=1e-12)
+    ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    out = N.conv2d(*ts, stride=stride, padding=1)
+    g = rng.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    expect = _conv_loops(x, w, b, stride, 1, g)
+    for got, want in zip([out.data] + [t.grad for t in ts], expect):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_float32_matches_direct_loops():
+    rng = np.random.default_rng(13)
+    x, w, b = rng.normal(size=(2, 6, 5, 4)), rng.normal(size=(3, 4, 3, 3)), rng.normal(size=3)
+    with N.dtype_mode(np.float32):
+        out = N.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1).data
+    want = _conv_loops(x, w, b, 1, 1, np.zeros((2, 6, 5, 3)))[0]
+    assert out.dtype == np.float32
+    assert np.allclose(out, want, rtol=1e-5, atol=1e-5)
 
 
 def test_group_norm_matches_per_group_normalisation():
