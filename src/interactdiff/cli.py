@@ -65,13 +65,11 @@ class RunConfig:
 
     # dataset
     train_scenes: int = 8000
-    test_scenes: int = 1000
     data_seed: int = 0
     image_size: int = 32
     n_max: int = 4
     # model
     base_channels: int = 16
-    mid_channels: int = 64
     d_tok: int = 64
     n_heads: int = 4
     time_dim: int = 64
@@ -97,12 +95,10 @@ class RunConfig:
     # sampling
     omega: float = 0.8
     steps: int = 50
-    cfg_scale: float = 1.0
     sample_seed: int = 0
     # evaluation
     eval_count: int = 500
     eval_batch: int = 50
-    iou_thresh: float = 0.5
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -169,11 +165,18 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"steps must be in 1..{cfg.t_train}, got {cfg.steps}")
     if cfg.dtype not in ("float32", "float64"):
         raise ConfigError(f"dtype must be float32 or float64, got {cfg.dtype!r}")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    for name in ("train_scenes", "test_scenes", "eval_count"):
+    for name in ("batch_size", "log_every", "eval_batch"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    for name in ("train_scenes", "eval_count"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be >= 0")
+    if not 1 <= cfg.n_max <= 4:  # the instance counts scenes._regions lays out
+        raise ConfigError(f"n_max must be in 1..4, got {cfg.n_max}")
+    # two stride-2 downsamples; a holding subject (>= 10 px) must fit a
+    # quadrant size // 2 - 4 px wide
+    if cfg.image_size % 4 or cfg.image_size < 28:
+        raise ConfigError(f"image_size must be a multiple of 4 and >= 28, got {cfg.image_size}")
 
 
 def _write_config_echo(cfg: RunConfig, out_dir) -> None:
@@ -281,7 +284,6 @@ def _sample_batched(model, specs, cfg: RunConfig, omega, seed):
             steps=cfg.steps,
             omega=omega,
             seed=seed + lo,
-            cfg_scale=cfg.cfg_scale,
         )
         images.extend(imgs)
         draws.extend((seed + lo, i) for i in range(len(chunk)))
@@ -290,13 +292,7 @@ def _sample_batched(model, specs, cfg: RunConfig, omega, seed):
 
 def cmd_sample(args) -> int:
     cfg = load_run_config(
-        args.config,
-        {
-            "omega": args.omega,
-            "steps": args.steps,
-            "sample_seed": args.seed,
-            "cfg_scale": args.cfg,
-        },
+        args.config, {"omega": args.omega, "steps": args.steps, "sample_seed": args.seed}
     )
     with N.dtype_mode(cfg.dtype):
         return _cmd_sample(args, cfg)
@@ -336,7 +332,7 @@ def evaluate_images(images, specs, feats_real, cfg: RunConfig, detections=None):
     if detections is None:
         detections = [detect(img) for img in images]
     gts = [list(s.interactions) for s in specs]
-    report = detection_map(detections, gts, iou_thresh=cfg.iou_thresh)
+    report = detection_map(detections, gts)
     if feats_real is not None and len(images) >= 100 and len(feats_real) >= 100:
         kid, kid_err = kid_analog(feats_real, _features(images, detections))
         report.kid = kid
@@ -438,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None)  # config default 0.8
     p.add_argument("--steps", type=int, default=None)  # config default 50
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cfg", type=float, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)

@@ -37,11 +37,9 @@ _ALL_COLORS = np.array(
 ) / 127.5 - 1.0  # same [-1, 1] space as rendered images
 
 
-@dataclass
-class DetectorConfig:
-    color_tol: float = 0.55  # max RGB distance (in [-1,1] space) to count a pixel pure
-    min_area: int = 4
-    min_confidence: float = 0.35
+COLOR_TOL = 0.55  # max RGB distance (in [-1,1] space) to count a pixel pure
+MIN_AREA = 4  # pixels in a component
+MIN_CONFIDENCE = 0.35  # share of a component's pixels that are pure
 
 
 @dataclass
@@ -54,7 +52,7 @@ class DetectedInteraction:
     confidence: float
 
 
-def _find_entities(image: np.ndarray, config: DetectorConfig):
+def _find_entities(image: np.ndarray):
     """Connected colour blobs -> (label_id, box, confidence) candidates."""
     _, h, w = image.shape
     pix = image.reshape(3, -1).T  # (HW, 3)
@@ -69,10 +67,10 @@ def _find_entities(image: np.ndarray, config: DetectorConfig):
         comp, n_comp = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
         for k in range(1, n_comp + 1):
             rows, cols = np.nonzero(comp == k)
-            if rows.size < config.min_area:
+            if rows.size < MIN_AREA:
                 continue
-            conf = float(np.mean(near_dist[rows, cols] <= config.color_tol))
-            if conf < config.min_confidence:
+            conf = float(np.mean(near_dist[rows, cols] <= COLOR_TOL))
+            if conf < MIN_CONFIDENCE:
                 continue
             box_px = (int(cols.min()), int(rows.min()), int(cols.max()) + 1, int(rows.max()) + 1)
             box = BoundingBox(box_px[0] / w, box_px[1] / h, box_px[2] / w, box_px[3] / h)
@@ -80,10 +78,9 @@ def _find_entities(image: np.ndarray, config: DetectorConfig):
     return entities
 
 
-def detect(image: np.ndarray, config: DetectorConfig | None = None) -> list[DetectedInteraction]:
+def detect(image: np.ndarray) -> list[DetectedInteraction]:
     """Recover interaction instances from a rendered or generated image."""
-    config = config or DetectorConfig()
-    entities = _find_entities(image, config)
+    entities = _find_entities(image)
     subjects = [e for e in entities if e[0] in VOCAB.subject_ids]
     objects = [e for e in entities if e[0] in VOCAB.object_ids]
     out = []
@@ -232,7 +229,7 @@ def detection_map(
 # ---------------------------------------------------------------------------
 
 
-def image_features(image: np.ndarray, detections=None, config: DetectorConfig | None = None) -> np.ndarray:
+def image_features(image: np.ndarray, detections=None) -> np.ndarray:
     """Handcrafted feature vector: per-palette pixel fractions plus mean
     detected-entity box statistics (cx, cy, w, h)."""
     _, h, w = image.shape
@@ -241,7 +238,7 @@ def image_features(image: np.ndarray, detections=None, config: DetectorConfig | 
     nearest = d2.argmin(axis=1)
     fracs = np.bincount(nearest, minlength=_ALL_COLORS.shape[0]) / pix.shape[0]
     if detections is None:
-        detections = detect(image, config)
+        detections = detect(image)
     boxes = [d.b_s for d in detections] + [d.b_o for d in detections]
     if boxes:
         stats = np.array(
@@ -286,14 +283,9 @@ def mmd2_unbiased(x: np.ndarray, y: np.ndarray) -> float:
     return float(sum_xx + sum_yy - 2.0 * sum_xy)
 
 
-def kid_analog(
-    features_real: np.ndarray,
-    features_gen: np.ndarray,
-    subset_size: int = 50,
-    n_subsets: int = 10,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Subset-averaged unbiased MMD^2; returns (estimate, stderr).
+def kid_analog(features_real: np.ndarray, features_gen: np.ndarray) -> tuple[float, float]:
+    """Unbiased MMD^2 averaged over 10 subsets of 50 rows; returns
+    (estimate, stderr).
 
     One index draw per round is shared by both sides when the sample counts
     match, so identical feature sets score exactly zero.
@@ -302,16 +294,11 @@ def kid_analog(
     y = np.asarray(features_gen, dtype=np.float64)
     if x.shape[0] < 100 or y.shape[0] < 100:
         raise ContractError("kid_analog needs at least 100 samples per side")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     estimates = []
-    for _ in range(n_subsets):
-        if x.shape[0] == y.shape[0]:
-            idx = rng.permutation(x.shape[0])[:subset_size]
-            jdx = idx
-        else:
-            idx = rng.permutation(x.shape[0])[:subset_size]
-            jdx = rng.permutation(y.shape[0])[:subset_size]
+    for _ in range(10):
+        idx = rng.permutation(x.shape[0])[:50]
+        jdx = idx if x.shape[0] == y.shape[0] else rng.permutation(y.shape[0])[:50]
         estimates.append(mmd2_unbiased(x[idx], y[jdx]))
     estimates = np.array(estimates)
-    stderr = float(estimates.std(ddof=1) / np.sqrt(n_subsets)) if n_subsets > 1 else 0.0
-    return float(estimates.mean()), stderr
+    return float(estimates.mean()), float(estimates.std(ddof=1) / np.sqrt(estimates.size))

@@ -41,15 +41,6 @@ class BoundingBox:
     def area(self) -> float:
         return self.width * self.height
 
-    def corners(self) -> list[tuple[float, float]]:
-        """The four (x, y) corner pairs."""
-        return [
-            (self.x_min, self.y_min),
-            (self.x_max, self.y_min),
-            (self.x_min, self.y_max),
-            (self.x_max, self.y_max),
-        ]
-
     def as_list(self) -> list[float]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
@@ -58,22 +49,6 @@ class BoundingBox:
         if len(vals) != 4:
             raise ContractError(f"box needs 4 coordinates, got {len(vals)}")
         return cls(*(float(v) for v in vals))
-
-    def hull(self, other: "BoundingBox") -> "BoundingBox":
-        return BoundingBox(
-            min(self.x_min, other.x_min),
-            min(self.y_min, other.y_min),
-            max(self.x_max, other.x_max),
-            max(self.y_max, other.y_max),
-        )
-
-    def contains(self, other: "BoundingBox", tol: float = 0.0) -> bool:
-        return (
-            other.x_min >= self.x_min - tol
-            and other.y_min >= self.y_min - tol
-            and other.x_max <= self.x_max + tol
-            and other.y_max <= self.y_max + tol
-        )
 
 
 def between(subject: BoundingBox, object_: BoundingBox) -> BoundingBox:

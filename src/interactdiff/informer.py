@@ -81,22 +81,12 @@ def grid_position_features(n_tokens: int, d_tok: int) -> np.ndarray:
 class InformerBlock:
     """One interaction transformer block over M = H*W visual tokens."""
 
-    def __init__(
-        self,
-        store: ParameterStore,
-        name: str,
-        n_tokens: int,
-        d_tok: int,
-        n_heads: int,
-        rng,
-        base_prefix: str = "base",
-        inter_prefix: str = "inter",
-    ):
+    def __init__(self, store: ParameterStore, name: str, n_tokens: int, d_tok: int,
+                 n_heads: int, rng):
         self.store = store
         self.n_tokens = n_tokens
-        self.d_tok = d_tok
-        base = f"{base_prefix}.{name}"
-        inter = f"{inter_prefix}.{name}"
+        base = f"base.{name}"
+        inter = f"inter.{name}"
         store.add(f"{base}.pos", Tensor(grid_position_features(n_tokens, d_tok)))
         self.norm_self = LayerNorm(store, f"{base}.norm_self", d_tok)
         self.self_attn = AttentionLayer(store, f"{base}.self_attn", d_tok, n_heads, rng)

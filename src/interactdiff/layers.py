@@ -31,26 +31,22 @@ class Linear:
 
 
 class Conv2d:
-    def __init__(self, store, name, c_in, c_out, k=3, stride=1, rng=None, zero_init=False):
+    """3x3 convolution, padding 1."""
+
+    def __init__(self, store, name, c_in, c_out, stride=1, rng=None, zero_init=False):
         self.name = name
         self.store = store
         self.stride = stride
-        self.padding = k // 2
         if zero_init:
-            w = np.zeros((c_out, c_in, k, k))
+            w = np.zeros((c_out, c_in, 3, 3))
         else:
-            w = rng.normal(0.0, 1.0 / np.sqrt(c_in * k * k), size=(c_out, c_in, k, k))
+            w = rng.normal(0.0, 1.0 / np.sqrt(c_in * 9), size=(c_out, c_in, 3, 3))
         store.add(f"{name}.w", Tensor(w))
         store.add(f"{name}.b", Tensor(np.zeros(c_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return N.conv2d(
-            x,
-            self.store[f"{self.name}.w"],
-            self.store[f"{self.name}.b"],
-            stride=self.stride,
-            padding=self.padding,
-        )
+        w, b = self.store[f"{self.name}.w"], self.store[f"{self.name}.b"]
+        return N.conv2d(x, w, b, stride=self.stride, padding=1)
 
 
 class GroupNorm:
@@ -78,17 +74,14 @@ class GroupNorm:
 
 
 class LayerNorm:
-    def __init__(self, store, name, dim, eps=1e-5):
+    def __init__(self, store, name, dim):
         self.name = name
         self.store = store
-        self.eps = eps
         store.add(f"{name}.gain", Tensor(np.ones(dim)))
         store.add(f"{name}.bias", Tensor(np.zeros(dim)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return N.layer_norm(
-            x, self.store[f"{self.name}.gain"], self.store[f"{self.name}.bias"], eps=self.eps
-        )
+        return N.layer_norm(x, self.store[f"{self.name}.gain"], self.store[f"{self.name}.bias"])
 
 
 NEG_MASK = -1e30  # additive mask; exp underflows to exactly 0 after max-shift
@@ -97,14 +90,13 @@ NEG_MASK = -1e30  # additive mask; exp underflows to exactly 0 after max-shift
 class AttentionLayer:
     """Multi-head attention with learned q/k/v/out projections."""
 
-    def __init__(self, store, name, d_model, n_heads, rng, d_kv=None):
-        d_kv = d_kv or d_model
+    def __init__(self, store, name, d_model, n_heads, rng):
         if d_model % n_heads:
             raise ContractError(f"{name}: {n_heads} heads do not divide d_model {d_model}")
         self.n_heads = n_heads
         self.wq = Linear(store, f"{name}.q", d_model, d_model, rng, bias=False)
-        self.wk = Linear(store, f"{name}.k", d_kv, d_model, rng, bias=False)
-        self.wv = Linear(store, f"{name}.v", d_kv, d_model, rng, bias=False)
+        self.wk = Linear(store, f"{name}.k", d_model, d_model, rng, bias=False)
+        self.wv = Linear(store, f"{name}.v", d_model, d_model, rng, bias=False)
         self.wo = Linear(store, f"{name}.out", d_model, d_model, rng, bias=False)
 
     def __call__(self, q_in: Tensor, kv_in: Tensor, key_mask=None,

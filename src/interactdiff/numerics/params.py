@@ -66,9 +66,6 @@ class ParameterStore:
     def items(self):
         return self._params.items()
 
-    def is_frozen(self, name: str) -> bool:
-        return not self._params[name].requires_grad
-
     def freeze(self, prefix: str = "") -> None:
         for name, t in self._params.items():
             if name.startswith(prefix):

@@ -198,8 +198,6 @@ class SceneSpec:
 class SceneConfig:
     image_size: int = 32
     n_max: int = 4
-    max_caption_len: int = 24
-    placement_retries: int = 200
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +258,12 @@ def classify_action_px(s_box, o_box) -> str | None:
     return None
 
 
-def relation_holds(action: str, s_box: BoundingBox, o_box: BoundingBox, size: int) -> bool:
-    return classify_action_px(to_px(s_box, size), to_px(o_box, size)) == action
-
-
 # ---------------------------------------------------------------------------
 # Placement
 # ---------------------------------------------------------------------------
+
+# attempts at placing one pair in its region, and at placing one scene
+PLACEMENT_RETRIES = 200
 
 # region layouts keep cross-instance pairs out of every relation band:
 # >= 2 px vertical or >= 6 px horizontal separation between regions
@@ -373,7 +370,7 @@ def _place_scene(rng, config: SceneConfig, triplets) -> SceneSpec:
         action = VOCAB.token(a_id)
         region = regions[int(ridx)]
         s_px = o_px = None
-        for _ in range(config.placement_retries):
+        for _ in range(PLACEMENT_RETRIES):
             try:
                 s_px, o_px = _place_pair(rng, region, action)
                 break
@@ -390,7 +387,7 @@ def _place_scene(rng, config: SceneConfig, triplets) -> SceneSpec:
                 s=s_id, a=a_id, o=o_id, b_s=b_s, b_a=between(b_s, b_o), b_o=b_o
             )
         )
-    caption = VOCAB.caption_ids(instances)[: config.max_caption_len]
+    caption = VOCAB.caption_ids(instances)
     scene = SceneSpec(image_size=size, interactions=instances, caption_ids=caption)
     _validate_oracle_round_trip(scene)
     return scene
@@ -425,11 +422,11 @@ def generate_scene(rng_seed: int, config: SceneConfig | None = None) -> SceneSpe
         )
         for _ in range(n)
     ]
-    for attempt in range(config.placement_retries):
+    for attempt in range(PLACEMENT_RETRIES):
         try:
             return _place_scene(rng, config, triplets)
         except GenerationError:
-            if attempt == config.placement_retries - 1:
+            if attempt == PLACEMENT_RETRIES - 1:
                 raise
     raise GenerationError("unreachable")
 
@@ -464,12 +461,12 @@ def build_dataset(count: int, seed: int, config: SceneConfig | None = None) -> l
     for n in per_scene:
         triplets = schedule[pos : pos + n]
         pos += n
-        for attempt in range(config.placement_retries):
+        for attempt in range(PLACEMENT_RETRIES):
             try:
                 scenes.append(_place_scene(rng, config, triplets))
                 break
             except GenerationError:
-                if attempt == config.placement_retries - 1:
+                if attempt == PLACEMENT_RETRIES - 1:
                     raise
     return scenes
 

@@ -11,6 +11,7 @@ import struct
 
 import numpy as np
 
+from interactdiff.geometry import BoundingBox
 from interactdiff.numerics import Tensor
 from interactdiff.numerics.tensor import _make
 
@@ -92,6 +93,18 @@ def between_bruteforce(bs, bo):
     xs = sorted([bs[0], bs[2], bo[0], bo[2]])
     ys = sorted([bs[1], bs[3], bo[1], bo[3]])
     return (xs[1], ys[1], xs[2], ys[2])
+
+
+def bounding_hull(a, b):
+    """Smallest BoundingBox covering boxes a and b."""
+    return BoundingBox(min(a.x_min, b.x_min), min(a.y_min, b.y_min),
+                       max(a.x_max, b.x_max), max(a.y_max, b.y_max))
+
+
+def box_contains(outer, inner):
+    """Whether BoundingBox `inner` lies inside `outer`, edges included."""
+    return (outer.x_min <= inner.x_min and outer.y_min <= inner.y_min
+            and inner.x_max <= outer.x_max and inner.y_max <= outer.y_max)
 
 
 def iou_bruteforce(a, b):

@@ -30,7 +30,7 @@ from interactdiff import numerics as N
 from interactdiff.numerics import ParameterStore, Tensor, load_checkpoint, save_checkpoint
 from interactdiff.scenes import VOCAB, build_dataset, generate_scene, render
 
-from oracles import between_bruteforce, check_gradients
+from oracles import between_bruteforce, bounding_hull, check_gradients
 from test_numerics import FD_CASES, _rand
 
 REF_DIR = os.path.join(os.path.dirname(__file__), "reference_run")
@@ -127,7 +127,7 @@ def test_criterion_3_between_oracle():
         got = between(a, b)
         assert got.as_list() == pytest.approx(between_bruteforce(a.as_list(), b.as_list()), abs=0)
         assert got == between(b, a)  # symmetry
-        hull = a.hull(b)
+        hull = bounding_hull(a, b)
         assert hull.x_min <= got.x_min <= got.x_max <= hull.x_max
         assert hull.y_min <= got.y_min <= got.y_max <= hull.y_max
 

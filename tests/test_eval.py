@@ -6,7 +6,6 @@ import pytest
 from interactdiff.errors import ContractError
 from interactdiff.evaluation import (
     DetectedInteraction,
-    DetectorConfig,
     detect,
     detection_map,
     image_features,

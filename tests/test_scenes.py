@@ -18,16 +18,18 @@ from interactdiff.scenes import (
     SceneConfig,
     SceneSpec,
     build_dataset,
+    classify_action_px,
     generate_scene,
     rare_triplet_classes,
     read_dataset,
     read_ppm,
-    relation_holds,
     render,
     to_px,
     write_dataset,
     write_ppm,
 )
+
+from oracles import bounding_hull
 
 BG = np.array(BACKGROUND_COLOR, dtype=np.float64) / 127.5 - 1.0
 
@@ -57,7 +59,8 @@ def test_generated_scene_structure():
             # stored action box always recomputes from the operands
             assert inst.b_a == between(inst.b_s, inst.b_o)
             # the sampled boxes satisfy the action's spatial predicate
-            assert relation_holds(VOCAB.token(inst.a), inst.b_s, inst.b_o, 32)
+            s_px, o_px = to_px(inst.b_s, 32), to_px(inst.b_o, 32)
+            assert classify_action_px(s_px, o_px) == VOCAB.token(inst.a)
         assert scene.caption_ids == VOCAB.caption_ids(scene.interactions)
 
 
@@ -103,7 +106,7 @@ def test_render_pixels_confined_to_boxes():
                 x0, y0, x1, y1 = to_px(box, 32)
                 allowed[y0:y1, x0:x1] = True
             if VOCAB.token(inst.a) == "pulling":
-                hx0, hy0, hx1, hy1 = to_px(inst.b_s.hull(inst.b_o), 32)
+                hx0, hy0, hx1, hy1 = to_px(bounding_hull(inst.b_s, inst.b_o), 32)
                 allowed[hy0:hy1, hx0:hx1] = True
         nonbg = ~np.all(np.isclose(img, BG.reshape(3, 1, 1)), axis=0)
         assert not np.any(nonbg & ~allowed)
