@@ -270,22 +270,22 @@ def _read_conditions(path, limit=None):
     return conditions
 
 
-def _sample_batched(model, specs, cfg: RunConfig, omega, seed):
-    """Sample images for SceneSpec conditions, batch by batch, the batch from
-    condition `lo` with seed `seed + lo`; returns the images and, per image,
-    that seed and the image's index in its batch."""
-    images, draws = [], []
+def _sample_batched(model, specs, cfg: RunConfig, omegas, seed):
+    """Sample images for SceneSpec conditions at each of `omegas`, batch by
+    batch, the batch from condition `lo` with seed `seed + lo`; the omegas of
+    a batch share its gated steps through one trunk (see `sample`).  Returns
+    one image list per omega and, per image, that seed and the image's index
+    in its batch."""
+    images, draws = [[] for _ in omegas], []
     for lo in range(0, len(specs), cfg.eval_batch):
         chunk = specs[lo : lo + cfg.eval_batch]
-        imgs = sample(
-            model,
-            [list(s.caption_ids) for s in chunk],
-            [list(s.interactions) for s in chunk],
-            steps=cfg.steps,
-            omega=omega,
-            seed=seed + lo,
-        )
-        images.extend(imgs)
+        captions = [list(s.caption_ids) for s in chunk]
+        inters = [list(s.interactions) for s in chunk]
+        trunk = []
+        for out, omega in zip(images, omegas):
+            # omega = 0 runs no gated step, so it samples as a plain call
+            out.extend(sample(model, captions, inters, steps=cfg.steps, omega=omega,
+                              seed=seed + lo, trunk=trunk if omega else None))
         draws.extend((seed + lo, i) for i in range(len(chunk)))
     return images, draws
 
@@ -305,7 +305,7 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
         raise DataError(f"no conditions in {args.scene_json}")
     os.makedirs(args.out, exist_ok=True)
     _write_config_echo(cfg, args.out)
-    images, draws = _sample_batched(model, specs, cfg, cfg.omega, cfg.sample_seed)
+    (images,), draws = _sample_batched(model, specs, cfg, [cfg.omega], cfg.sample_seed)
     for i, (spec, img, (seed, batch_index)) in enumerate(zip(specs, images, draws)):
         name = f"sample_{i:05d}"
         write_ppm(os.path.join(args.out, f"{name}.ppm"), img)
@@ -361,6 +361,11 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         raise ConfigError(f"bad --omega-sweep: {args.omega_sweep!r}") from exc
     if any(not 0.0 <= w <= 1.0 for w in omegas):
         raise ConfigError("all sweep omegas must be in [0,1]")
+    tags = [f"omega{w:.2f}" for w in omegas]
+    if not tags:
+        raise ConfigError("--omega-sweep lists no omega")
+    if len(set(tags)) < len(tags):  # each tag names one report file
+        raise ConfigError(f"--omega-sweep {args.omega_sweep!r} repeats an omega at two decimals")
     model = None if args.use_renders else InteractionDiffusionModel.load(args.ckpt)[0]
     # the real images' features do not depend on omega: detect them once
     real_dets = feats_real = None
@@ -377,12 +382,11 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         print(f"renders: map_full={report.map_full:.4f} map_rare={report.map_rare:.4f}")
         return 0
     rows = []
-    for omega in omegas:
-        images, _ = _sample_batched(model, specs, cfg, omega, cfg.sample_seed)
+    sweep, _ = _sample_batched(model, specs, cfg, omegas, cfg.sample_seed)
+    for omega, tag, images in zip(omegas, tags, sweep):
         report = evaluate_images(images, specs, feats_real, cfg)
         report.config_echo.update(cfg.to_dict())
         report.config_echo["omega"] = omega
-        tag = f"omega{omega:.2f}"
         with open(os.path.join(args.out, f"report_{tag}.json"), "w") as fh:
             fh.write(report.to_json() + "\n")
         report.write_csv(os.path.join(args.out, f"per_class_ap_{tag}.csv"))

@@ -401,31 +401,47 @@ def sample(
     steps: int = 50,
     omega: float = 0.8,
     seed: int = 0,
+    trunk: list | None = None,
 ) -> np.ndarray:
     """Deterministic (variance-zero) reverse diffusion; returns images
     (B, 3, S, S) in [-1, 1] territory.
 
     Steps where the schedule gates interaction off run the exact base-model
     computation, so omega = 0 reproduces caption-only sampling bitwise.
+
+    The gate is on for the first n = ceil(omega * steps) steps, so at one
+    (model, conditions, steps, seed) every omega branches off the same gated
+    trajectory.  `trunk`, a list the caller keeps across such calls, holds
+    its states after 0, 1, ... gated steps: a call extends it to n and runs
+    its ungated tail from `trunk[n]`, bitwise as if it sampled alone.
     """
     T = model.config.t_train
     if steps > T:
         raise ContractError(f"steps {steps} exceeds T_train {T}")
     sampler_cfg = SamplerConfig(omega=omega, total_steps=steps)
+    n = sum(eta_schedule(i, sampler_cfg) for i in range(1, steps + 1))
     B = len(caption_ids)
-    rng = np.random.default_rng(seed)
     S = model.config.image_size
-    z = rng.standard_normal((B, 3, S, S))
+    trunk = [] if trunk is None else trunk
+    if not trunk:
+        trunk.append(np.random.default_rng(seed).standard_normal((B, 3, S, S)))
     ts = np.rint(np.linspace(T, T / steps, steps)).astype(int)
     prev = np.append(ts[1:], 0)
     ab = model.schedule.alpha_bar
-    with N.strict_mode(False):
-        for i, (t, tp) in enumerate(zip(ts, prev), start=1):
-            eta = eta_schedule(i, sampler_cfg)
-            inter = interactions if eta == 1 else None
-            eps = model.forward(z, np.full(B, t), caption_ids, inter, eta=eta).data
-            x0 = np.clip((z - math.sqrt(1.0 - ab[t]) * eps) / math.sqrt(ab[t]), -1.0, 1.0)
-            z = math.sqrt(ab[tp]) * x0 + math.sqrt(1.0 - ab[tp]) * eps
+
+    def step(z, i, eta):  # reverse step i, 0-based
+        t, tp = ts[i], prev[i]
+        inter = interactions if eta == 1 else None
+        eps = model.forward(z, np.full(B, t), caption_ids, inter, eta=eta).data
+        x0 = np.clip((z - math.sqrt(1.0 - ab[t]) * eps) / math.sqrt(ab[t]), -1.0, 1.0)
+        return math.sqrt(ab[tp]) * x0 + math.sqrt(1.0 - ab[tp]) * eps
+
+    with N.strict_mode(False), N.no_grad():
+        while len(trunk) <= n:
+            trunk.append(step(trunk[-1], len(trunk) - 1, 1))
+        z = trunk[n]
+        for i in range(n, steps):
+            z = step(z, i, 0)
     if not np.all(np.isfinite(z)):
         raise NumericError(f"sampling produced non-finite images (seed {seed}, omega {omega})")
     return z

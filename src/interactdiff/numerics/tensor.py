@@ -9,6 +9,7 @@ order.
 Precision is float64 by default; float32 is an opt-in runtime mode
 (set_default_dtype).  Strict mode raises NumericError whenever an op
 produces non-finite values; training loops may switch it off for speed.
+Inside no_grad() ops build no tape at all.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ..errors import ContractError, NumericError, ShapeError
 
 _DEFAULT_DTYPE = np.float64
 _STRICT = True
+_GRAD = True
 
 
 def set_default_dtype(dtype) -> None:
@@ -54,6 +56,19 @@ def strict_mode(flag: bool):
         yield
     finally:
         _STRICT = old
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block: ops keep no parents and no backward
+    closure, so their intermediates are freed as soon as they are used."""
+    global _GRAD
+    old = _GRAD
+    _GRAD = False
+    try:
+        yield
+    finally:
+        _GRAD = old
 
 
 @contextlib.contextmanager
@@ -212,7 +227,7 @@ def _make(data: np.ndarray, parents, backward, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _GRAD and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward

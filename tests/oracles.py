@@ -175,3 +175,23 @@ def corrupt_checkpoint(data: bytes, fault: str) -> bytes:
         raise ValueError(f"unknown fault {fault!r}")
     blob = json.dumps(h).encode("utf-8")
     return prefix.pack(magic, version, len(blob)) + blob + payload
+
+
+def live_phase2_checkpoint(path, config):
+    """Save a fresh model in its phase-2 state (base frozen, `inter.*`
+    trainable) with perturbed interaction weights, open gates and a nonzero
+    output conv (it is zero-initialised), so that gated and ungated denoise
+    steps differ; returns `path`."""
+    from interactdiff.diffusion import InteractionDiffusionModel
+
+    model = InteractionDiffusionModel(config)
+    model.store.freeze("base.")
+    model.store.unfreeze("inter.")
+    rng = np.random.default_rng(5)
+    for name, p in model.store.items():
+        if name.endswith("gate_gamma"):
+            p.data[...] = 1.0
+        elif name.startswith(("inter.", "base.conv_out.")):
+            p.data += rng.normal(0.0, 0.05, size=p.shape)
+    model.save(path)
+    return path

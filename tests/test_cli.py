@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from interactdiff.errors import CheckpointError, ConfigError
 from interactdiff.numerics import ParameterStore, Tensor, load_checkpoint, save_checkpoint
 from interactdiff.scenes import SceneSpec, build_dataset, read_ppm, write_dataset, write_ppm
 
-from oracles import CHECKPOINT_FAULTS, corrupt_checkpoint
+from oracles import CHECKPOINT_FAULTS, corrupt_checkpoint, live_phase2_checkpoint
 
 
 REF_CFG = Path(__file__).parent / "reference_run" / "run.cfg"
@@ -385,6 +386,60 @@ def test_eval_sweep_rows(mini, tmp_path):
         assert (out / f"report_omega{w}.json").exists()
 
 
+@pytest.mark.parametrize("grid", [",", "0.5,0.5", "0.5,0.501"],
+                         ids=["empty", "repeated", "same-tag"])
+def test_eval_rejects_sweep_that_writes_nothing_or_overwrites(mini, tmp_path, capsys, grid):
+    """A report is named by its omega at two decimals: a sweep with no omega,
+    or with two omegas of one name, is a config error and writes no report."""
+    out = tmp_path / "sweep"
+    assert run(["eval", "--config", mini / "tiny.cfg",
+                "--ckpt", mini / "run" / "phase2_final.ckpt", "--data", mini / "data",
+                "--count", 2, "--omega-sweep", grid, "--out", out]) == 2
+    assert "--omega-sweep" in capsys.readouterr().err
+    assert not list(out.glob("report_*")) and not (out / "summary.csv").exists()
+
+
+def test_eval_sweep_shares_gated_steps_and_equals_independent_sampling(mini, tmp_path,
+                                                                       monkeypatch):
+    """Each batch runs its gated steps once, for the largest omega, and each
+    omega's ungated tail from there; every scored image is bitwise the one
+    `sample` draws for its omega alone.  The grid is out of order and the
+    last batch is short."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("steps = 4\neval_batch = 2\nsample_seed = 5\ndtype = float64\n")
+    tiny = ModelConfig(image_size=8, base_channels=8, caption_len=12, init_seed=3)
+    ckpt = live_phase2_checkpoint(tmp_path / "p2.ckpt", tiny)
+    scored, calls = [], []
+    evaluate, forward = cli.evaluate_images, InteractionDiffusionModel.forward
+
+    def counting_forward(self, z_t, t, caption_ids, interactions=None, eta=1):
+        calls.append((len(z_t), "gated" if eta == 1 and interactions else "ungated"))
+        return forward(self, z_t, t, caption_ids, interactions, eta)
+
+    monkeypatch.setattr(cli, "evaluate_images",
+                        lambda images, *a, **k: scored.append(images) or evaluate(images, *a, **k))
+    monkeypatch.setattr(InteractionDiffusionModel, "forward", counting_forward)
+    omegas = (1.0, 0.0, 0.5)
+    assert run(["eval", "--config", cfg, "--ckpt", ckpt, "--data", mini / "data", "--count", 3,
+                "--omega-sweep", ",".join(map(str, omegas)), "--out", tmp_path / "out"]) == 0
+    monkeypatch.undo()
+    # per batch: max n = 4 gated steps and sum(T - n) = 0 + 4 + 2 ungated
+    assert sorted(Counter(calls).items()) == [((1, "gated"), 4), ((1, "ungated"), 6),
+                                              ((2, "gated"), 4), ((2, "ungated"), 6)]
+    model, _ = InteractionDiffusionModel.load(ckpt)
+    specs = [spec for spec, _ in cli._load_pairs(mini / "data")[:3]]
+    for omega, images in zip(omegas, scored, strict=True):
+        alone = []
+        for lo in (0, 2):
+            chunk = specs[lo : lo + 2]
+            alone.extend(diffusion.sample(model, [list(s.caption_ids) for s in chunk],
+                                          [list(s.interactions) for s in chunk],
+                                          steps=4, omega=omega, seed=5 + lo))
+        assert len(images) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(images, alone)), omega
+    assert not np.array_equal(scored[0][0], scored[2][0])  # the gate changes the images
+
+
 def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
     """A 3-omega sweep over 100 conditions runs the detector once per real
     image, and its reports equal ones whose real-image features are detected
@@ -394,8 +449,8 @@ def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
     assert run(["gen-data", "--out", data, "--count", 100, "--seed", 4]) == 0
     pairs = cli._load_pairs(data)
     real = {img.tobytes() for _, img in pairs}
-    monkeypatch.setattr(cli, "_sample_batched",
-                        lambda model, specs, cfg, omega, seed: ([-img for _, img in pairs], None))
+    monkeypatch.setattr(cli, "_sample_batched", lambda model, specs, cfg, omegas, seed:
+                        ([[-img for _, img in pairs] for _ in omegas], None))
     seen, detect = [], evaluation.detect
 
     def counting_detect(img):

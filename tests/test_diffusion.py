@@ -24,7 +24,9 @@ from interactdiff.errors import ContractError
 from interactdiff.geometry import BoundingBox, between
 from interactdiff.intoken import InteractionInstance
 from interactdiff import numerics as N
-from interactdiff.numerics import Tensor
+from interactdiff.numerics import Tensor, tensor
+
+from oracles import live_phase2_checkpoint
 from interactdiff.scenes import VOCAB, SceneSpec
 
 TINY = ModelConfig(image_size=8, base_channels=8, caption_len=12, init_seed=3)
@@ -205,6 +207,31 @@ def test_sample_omega_zero_ignores_interactions():
     a = sample(model, caps, inters, steps=4, omega=0.0, seed=3)
     b = sample(model, caps, None, steps=4, omega=0.0, seed=3)
     assert np.array_equal(a, b)
+
+
+def test_sample_builds_no_tape(tmp_path, monkeypatch):
+    """Gated sampling from a phase-2 checkpoint, whose `inter.*` parameters
+    are trainable, records no backward closure; a loss right after it still
+    fills their gradients."""
+    model, _ = InteractionDiffusionModel.load(live_phase2_checkpoint(tmp_path / "p2.ckpt", TINY))
+    ds = tiny_dataset(n=2)
+    caps = [list(s.caption_ids) for s, _ in ds]
+    inters = [list(s.interactions) for s, _ in ds]
+    taped, make = [], tensor._make
+
+    def spy(*args):
+        out = make(*args)
+        taped.append(out._backward is not None)
+        return out
+
+    monkeypatch.setattr(tensor, "_make", spy)
+    sample(model, caps, inters, steps=3, omega=1.0, seed=0)
+    assert taped and not any(taped)
+    batch = (np.stack([img for _, img in ds]), caps, inters)
+    loss_step(model, batch, np.random.default_rng(1)).backward()
+    assert any(taped)
+    for name, p in model.store.items():
+        assert (p.grad is not None) == name.startswith("inter."), name
 
 
 def test_sample_step_count_error():

@@ -160,6 +160,18 @@ class TestBackward:
             out = N.log(Tensor([-1.0]))
         assert np.isnan(out.data[0])
 
+    def test_no_grad_builds_no_tape_and_restores_it_after_an_error(self):
+        w = Tensor([2.0], requires_grad=True)
+        with pytest.raises(NumericError):
+            with N.no_grad():
+                out = w * w
+                assert out._backward is None and out._parents == () and not out.requires_grad
+                N.log(-w)  # strict mode raises inside the block
+        out = w * w
+        assert out._backward is not None
+        out.sum().backward()
+        assert w.grad[0] == 4.0
+
 
 def _rand(shape):
     return RNG.normal(size=shape)
