@@ -194,6 +194,8 @@ def _write_config_echo(cfg: RunConfig, out_dir) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config, {"data_seed": args.seed})
+    if args.count is not None and args.count < 0:
+        raise ConfigError(f"--count must be >= 0, got {args.count}")
     count = args.count if args.count is not None else cfg.train_scenes
     scenes = build_dataset(count, cfg.data_seed, cfg.scene_config())
     os.makedirs(args.out, exist_ok=True)
@@ -294,6 +296,8 @@ def cmd_sample(args) -> int:
     cfg = load_run_config(
         args.config, {"omega": args.omega, "steps": args.steps, "sample_seed": args.seed}
     )
+    if args.count is not None and args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     with N.dtype_mode(cfg.dtype):
         return _cmd_sample(args, cfg)
 

@@ -127,7 +127,7 @@ class CaptionEncoder:
             n = min(len(cap), self.length)
             ids[b, :n] = cap[:n]
             mask[b, : max(n, 1)] = True
-        emb = N.embedding(self.store[f"{self.prefix}.tok"], ids)
+        emb = N.take(self.store[f"{self.prefix}.tok"], ids)
         return emb + self.store[f"{self.prefix}.pos"], mask
 
 
@@ -165,7 +165,6 @@ class InteractionDiffusionModel:
         self.conv_out = Conv2d(s, "base.conv_out", cb, 3, zero_init=True)
         self.tokenizer = InteractionTokenizer(
             s,
-            vocab_size=len(VOCAB),
             prefix="inter.tok",
             d_text=config.d_text,
             d_tok=config.d_tok,
@@ -348,41 +347,40 @@ def train_phase(
         writer.writerow(["step", "phase", "loss", "lr"])
     final_path = os.path.join(out_dir, f"phase{phase}_final.ckpt")
     try:
-        with N.strict_mode(False):
-            model.store.zero_grad()
-            for step in range(start_step + 1, steps + 1):
-                rng = _step_rng(tcfg.seed, phase, step)
-                batch = make_batch(
-                    dataset, rng, tcfg.batch_size, tcfg.caption_dropout, with_inter
+        model.store.zero_grad()
+        for step in range(start_step + 1, steps + 1):
+            rng = _step_rng(tcfg.seed, phase, step)
+            batch = make_batch(
+                dataset, rng, tcfg.batch_size, tcfg.caption_dropout, with_inter
+            )
+            loss = loss_step(model, batch, rng, eta=1)
+            loss_val = loss.item()
+            if not np.isfinite(loss_val):
+                raise NumericError(
+                    f"non-finite loss at phase {phase} step {step}; "
+                    f"batch rng key ({tcfg.seed},{phase},{step})"
                 )
-                loss = loss_step(model, batch, rng, eta=1)
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise NumericError(
-                        f"non-finite loss at phase {phase} step {step}; "
-                        f"batch rng key ({tcfg.seed},{phase},{step})"
-                    )
-                loss.backward()
-                warm = min(1.0, step / max(tcfg.warmup_steps, 1))
-                if phase == 1:
-                    prog = min(1.0, max(0.0, (step - tcfg.warmup_steps)
-                                        / max(steps - tcfg.warmup_steps, 1)))
-                    decay = 0.1 + 0.9 * 0.5 * (1.0 + math.cos(math.pi * prog))
-                else:
-                    # the gated interaction branch learns from a weak residual
-                    # signal; keep the rate constant instead of decaying it
-                    decay = 1.0
-                lr = tcfg.lr * warm * decay
-                adam_step(model.store, lr=lr)
-                model.store.zero_grad()
-                if step % tcfg.log_every == 0 or step == steps:
-                    writer.writerow([step, phase, f"{loss_val:.6f}", f"{lr:.2e}"])
-                    metrics.flush()
-                if tcfg.save_every and step % tcfg.save_every == 0 and step < steps:
-                    model.save(
-                        os.path.join(out_dir, f"phase{phase}_step{step:06d}.ckpt"),
-                        extra_meta={"phase": phase, "step": step, "train": asdict(tcfg)},
-                    )
+            loss.backward()
+            warm = min(1.0, step / max(tcfg.warmup_steps, 1))
+            if phase == 1:
+                prog = min(1.0, max(0.0, (step - tcfg.warmup_steps)
+                                    / max(steps - tcfg.warmup_steps, 1)))
+                decay = 0.1 + 0.9 * 0.5 * (1.0 + math.cos(math.pi * prog))
+            else:
+                # the gated interaction branch learns from a weak residual
+                # signal; keep the rate constant instead of decaying it
+                decay = 1.0
+            lr = tcfg.lr * warm * decay
+            adam_step(model.store, lr=lr)
+            model.store.zero_grad()
+            if step % tcfg.log_every == 0 or step == steps:
+                writer.writerow([step, phase, f"{loss_val:.6f}", f"{lr:.2e}"])
+                metrics.flush()
+            if tcfg.save_every and step % tcfg.save_every == 0 and step < steps:
+                model.save(
+                    os.path.join(out_dir, f"phase{phase}_step{step:06d}.ckpt"),
+                    extra_meta={"phase": phase, "step": step, "train": asdict(tcfg)},
+                )
         model.save(final_path, extra_meta={"phase": phase, "step": steps, "train": asdict(tcfg)})
     finally:
         metrics.close()
@@ -436,7 +434,7 @@ def sample(
         x0 = np.clip((z - math.sqrt(1.0 - ab[t]) * eps) / math.sqrt(ab[t]), -1.0, 1.0)
         return math.sqrt(ab[tp]) * x0 + math.sqrt(1.0 - ab[tp]) * eps
 
-    with N.strict_mode(False), N.no_grad():
+    with N.no_grad():
         while len(trunk) <= n:
             trunk.append(step(trunk[-1], len(trunk) - 1, 1))
         z = trunk[n]

@@ -71,7 +71,7 @@ class InteractionEmbeddings:
         q = self.store[f"{self.prefix}.instance"]
         r = self.store[f"{self.prefix}.role"]
         h_all = N.take(N.concat([h_s, h_a, h_o], axis=0), np.array(perm))
-        e_all = h_all + N.embedding(q, np.array(slot_ids)) + N.embedding(r, np.array(role_ids))
+        e_all = h_all + N.take(q, np.array(slot_ids)) + N.take(r, np.array(role_ids))
         return N.take(N.concat([e_all, null], axis=0), idx), mask
 
     def embed_instances(self, triplets) -> tuple[Tensor, np.ndarray]:

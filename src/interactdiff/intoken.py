@@ -28,14 +28,10 @@ class InteractionInstance:
     b_s: BoundingBox
     b_a: BoundingBox
     b_o: BoundingBox
-    action_box_override: bool = False
 
     def __post_init__(self):
-        if not self.action_box_override and self.b_a != between(self.b_s, self.b_o):
-            raise ContractError(
-                "b_a does not equal between(b_s, b_o); pass "
-                "action_box_override=True to keep a custom action box"
-            )
+        if self.b_a != between(self.b_s, self.b_o):
+            raise ContractError("b_a does not equal between(b_s, b_o)")
 
 
 @dataclass
@@ -57,22 +53,22 @@ class InteractionTokenizer:
     def __init__(
         self,
         store: ParameterStore,
-        vocab_size: int,
         prefix: str = "inter.tok",
         d_text: int = 64,
         d_tok: int = 64,
         n_freqs: int = 8,
         seed: int = 0,
     ):
+        from .scenes import VOCAB  # deferred: scenes imports this module
+
         self.store = store
         self.prefix = prefix
-        self.vocab_size = vocab_size
         self.d_text = d_text
         self.d_tok = d_tok
         self.n_freqs = n_freqs
         self.d_four = 4 * 2 * n_freqs
         rng = np.random.default_rng(seed)
-        store.add(f"{prefix}.label_embed", Tensor(rng.normal(0.0, 0.02, size=(vocab_size, d_text))))
+        store.add(f"{prefix}.label_embed", Tensor(rng.normal(0.0, 0.02, size=(len(VOCAB), d_text))))
         d_in = d_text + self.d_four
         self.mlps = {
             which: (Linear(store, f"{prefix}.{which}.0", d_in, 4 * d_tok, rng),
@@ -83,10 +79,11 @@ class InteractionTokenizer:
     # -- label / box featurization ------------------------------------------
 
     def label_embedding(self, ids) -> Tensor:
+        table = self.store[f"{self.prefix}.label_embed"]
         ids = np.asarray(ids)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
-            raise VocabularyError(f"label id out of range 0..{self.vocab_size - 1}")
-        return N.embedding(self.store[f"{self.prefix}.label_embed"], ids)
+        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+            raise VocabularyError(f"label id out of range 0..{table.shape[0] - 1}")
+        return N.take(table, ids)
 
     def box_features(self, boxes) -> Tensor:
         return Tensor(np.stack([fourier_embed(b, self.n_freqs) for b in boxes]))

@@ -46,20 +46,20 @@ class Conv2d:
 
     def __call__(self, x: Tensor) -> Tensor:
         w, b = self.store[f"{self.name}.w"], self.store[f"{self.name}.b"]
-        return N.conv2d(x, w, b, stride=self.stride, padding=1)
+        return N.conv2d(x, w, b, stride=self.stride)
 
 
 class GroupNorm:
     """GroupNorm of channels-last (B, H, W, C) input as one layer_norm: each
-    sample's `groups` contiguous channel blocks are normalized separately."""
+    sample's `groups` = clip(C // 4, 1, 8) contiguous channel blocks are
+    normalized separately."""
 
-    def __init__(self, store, name, channels, groups=None, eps=1e-5):
+    def __init__(self, store, name, channels):
         self.name = name
         self.store = store
-        self.groups = groups or max(1, min(8, channels // 4))
+        self.groups = max(1, min(8, channels // 4))
         if channels % self.groups:
             raise ContractError(f"{name}: {self.groups} groups do not divide {channels} channels")
-        self.eps = eps
         store.add(f"{name}.gain", Tensor(np.ones(channels)))
         store.add(f"{name}.bias", Tensor(np.zeros(channels)))
 
@@ -68,8 +68,7 @@ class GroupNorm:
         g = self.groups
         gain = self.store[f"{self.name}.gain"].reshape(g, C // g)
         bias = self.store[f"{self.name}.bias"].reshape(g, C // g)
-        out = N.layer_norm(x.reshape(B, H * W, g, C // g), gain, bias,
-                           eps=self.eps, axis=(1, 3))
+        out = N.layer_norm(x.reshape(B, H * W, g, C // g), gain, bias, axis=(1, 3))
         return out.reshape(B, H, W, C)
 
 

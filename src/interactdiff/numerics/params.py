@@ -116,17 +116,13 @@ class ParameterStore:
         return int.from_bytes(h.digest()[:8], "little")
 
 
-def adam_step(
-    store: ParameterStore,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
-    """One Adam update over all non-frozen parameters in `store`.
+def adam_step(store: ParameterStore, lr: float) -> None:
+    """One Adam update (betas 0.9, 0.999; eps 1e-8) over all non-frozen
+    parameters in `store`.
 
     Raises ContractError if any trainable parameter is missing its gradient.
     """
-    b1, b2 = betas
+    b1, b2 = 0.9, 0.999
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - b1**t
@@ -149,7 +145,7 @@ def adam_step(
         v += (1.0 - b2) * g * g
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+        p.data -= lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 def save_checkpoint(store: ParameterStore, path, meta: dict | None = None) -> None:

@@ -7,9 +7,7 @@ gradient accumulation order deterministic for a fixed graph construction
 order.
 
 Precision is float64 by default; float32 is an opt-in runtime mode
-(set_default_dtype).  Strict mode raises NumericError whenever an op
-produces non-finite values; training loops may switch it off for speed.
-Inside no_grad() ops build no tape at all.
+(dtype_mode).  Inside no_grad() ops build no tape at all.
 """
 
 from __future__ import annotations
@@ -19,43 +17,10 @@ import math
 
 import numpy as np
 
-from ..errors import ContractError, NumericError, ShapeError
+from ..errors import ContractError, ShapeError
 
 _DEFAULT_DTYPE = np.float64
-_STRICT = True
 _GRAD = True
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError(f"unsupported dtype {dtype}; use float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_strict(flag: bool) -> None:
-    global _STRICT
-    _STRICT = bool(flag)
-
-
-def strict_enabled() -> bool:
-    return _STRICT
-
-
-@contextlib.contextmanager
-def strict_mode(flag: bool):
-    global _STRICT
-    old = _STRICT
-    _STRICT = bool(flag)
-    try:
-        yield
-    finally:
-        _STRICT = old
 
 
 @contextlib.contextmanager
@@ -73,18 +38,17 @@ def no_grad():
 
 @contextlib.contextmanager
 def dtype_mode(dtype):
+    """New Tensors default to `dtype`, float32 or float64, inside the block."""
     global _DEFAULT_DTYPE
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ContractError(f"unsupported dtype {dtype}; use float32 or float64")
     old = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    _DEFAULT_DTYPE = dtype.type
     try:
         yield
     finally:
         _DEFAULT_DTYPE = old
-
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _STRICT and not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values produced by {op}")
 
 
 class Tensor:
@@ -166,10 +130,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-        if _STRICT:
-            for node in topo:
-                if node.grad is not None and not np.all(np.isfinite(node.grad)):
-                    raise NumericError(f"non-finite gradient at op {node._op}")
 
     # -- operator sugar -----------------------------------------------------
 
@@ -189,19 +149,14 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / other)
-        return mul(self, reciprocal(other))
+    def __truediv__(self, other: float):
+        return mul(self, 1.0 / other)
 
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -235,7 +190,6 @@ def _make(data: np.ndarray, parents, backward, op: str) -> Tensor:
         out._parents = ()
         out._backward = None
     out._op = op
-    _check_finite(data, op)
     return out
 
 
@@ -279,63 +233,6 @@ def mul(a, b) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward, "mul")
-
-
-def reciprocal(a) -> Tensor:
-    a = as_tensor(a)
-    data = 1.0 / a.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g * data * data)
-
-    return _make(data, (a,), backward, "reciprocal")
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    data = a.data**p
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * p * a.data ** (p - 1.0))
-
-    return _make(data, (a,), backward, "power")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * data)
-
-    return _make(data, (a,), backward, "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _make(data, (a,), backward, "log")
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / data)
-
-    return _make(data, (a,), backward, "sqrt")
 
 
 def tanh(a) -> Tensor:
@@ -519,9 +416,10 @@ def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
     return _make(out, (q, k, v) if bias is None else (q, k, v, bias), backward, "attention")
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5, axis=-1) -> Tensor:
-    """Normalize over `axis` (int or tuple) to zero mean / unit variance, then
-    affine; GroupNorm passes axis=(1, 3) of a (B, H*W, groups, C/groups) view.
+def layer_norm(x, gain, bias, axis=-1) -> Tensor:
+    """Normalize over `axis` (int or tuple) to zero mean / unit variance, with
+    eps 1e-5, then affine; GroupNorm passes axis=(1, 3) of a
+    (B, H*W, groups, C/groups) view.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     axes = axis if isinstance(axis, tuple) else (axis,)
@@ -536,7 +434,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, axis=-1) -> Tensor:
     mu = mean(x.data)
     xc = x.data - mu
     var = mean(xc * xc)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     data = gain.data * xhat + bias.data
 
@@ -552,44 +450,26 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, axis=-1) -> Tensor:
     return _make(data, (x, gain, bias), backward, "layer_norm")
 
 
-def embedding(table, ids: np.ndarray) -> Tensor:
-    """Row lookup with scatter-add backward; ids is an integer array."""
-    table = as_tensor(table)
-    ids = np.asarray(ids)
-    data = table.data[ids]
-
-    def backward(g):
-        if table.requires_grad:
-            buf = np.zeros_like(table.data)
-            np.add.at(buf, ids, g)
-            table._accumulate(buf)
-
-    return _make(data, (table,), backward, "embedding")
-
-
 # -- convolution and resampling --------------------------------------------
 
 
-def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation of channels-last input via im2col + one GEMM.
+def conv2d(x, w, b, stride: int = 1) -> Tensor:
+    """2-d cross-correlation of channels-last input, zero-padded by 1 on each
+    side, via im2col + one GEMM.
 
-    x: (B, H, W, Cin); w: (Cout, Cin, kh, kw); b: (Cout,) or None.
+    x: (B, H, W, Cin); w: (Cout, Cin, kh, kw); b: (Cout,).
     Returns (B, Ho, Wo, Cout).  The columns are in (kh, kw, Cin) order, so
     im2col is kh*kw strided slice copies into contiguous (..., Cin) runs and
     col2im adds the same slices back; the weight is permuted to match.
     """
-    x, w = as_tensor(x), as_tensor(w)
-    if b is not None:
-        b = as_tensor(b)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     B, H, W, Cin = x.data.shape
     Cout, Cin_w, kh, kw = w.data.shape
     if Cin != Cin_w:
         raise ShapeError(f"conv2d channel mismatch: {x.data.shape} vs {w.data.shape}")
-    Ho = (H + 2 * padding - kh) // stride + 1
-    Wo = (W + 2 * padding - kw) // stride + 1
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    Ho = (H + 2 - kh) // stride + 1
+    Wo = (W + 2 - kw) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
     windows = [(slice(None), slice(i, i + stride * Ho, stride), slice(j, j + stride * Wo, stride))
                for i in range(kh) for j in range(kw)]
     col = np.empty((B, Ho, Wo, kh * kw, Cin), dtype=xp.dtype)
@@ -598,12 +478,11 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     col = col.reshape(B * Ho * Wo, kh * kw * Cin)
     wmat = w.data.transpose(0, 2, 3, 1).reshape(Cout, -1)
     out = (col @ wmat.T).reshape(B, Ho, Wo, Cout)
-    if b is not None:
-        out += b.data
+    out += b.data
 
     def backward(g):
         gmat = g.reshape(B * Ho * Wo, Cout)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accumulate(gmat.sum(axis=0))
         if w.requires_grad:
             gw = gmat.T @ col
@@ -613,12 +492,9 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
             gxp = np.zeros(xp.shape, dtype=x.data.dtype)
             for n, win in enumerate(windows):
                 gxp[win] += gcol[:, :, :, n]
-            if padding:
-                gxp = gxp[:, padding:-padding, padding:-padding]
-            x._accumulate(gxp)
+            x._accumulate(gxp[:, 1:-1, 1:-1])
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, backward, "conv2d")
+    return _make(out, (x, w, b), backward, "conv2d")
 
 
 def upsample_nearest2(x) -> Tensor:

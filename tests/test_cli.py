@@ -146,6 +146,17 @@ def test_bad_config_exit_code(tmp_path, capsys):
         capsys.readouterr()
         code = run(["gen-data", "--config", path, "--out", tmp_path / "d", "--count", 2])
         assert code == 2 and key in capsys.readouterr().err, (key, value)
+    # a negative scene count, or a sample count below one, is rejected before
+    # anything is read or written
+    for argv in (["gen-data", "--count", -3],
+                 ["sample", "--ckpt", tmp_path / "c.ckpt", "--scene-json", tmp_path / "s.jsonl",
+                  "--count", 0],
+                 ["sample", "--ckpt", tmp_path / "c.ckpt", "--scene-json", tmp_path / "s.jsonl",
+                  "--count", -2]):
+        capsys.readouterr()
+        code = run(argv + ["--out", tmp_path / "o"])
+        assert code == 2 and "--count" in capsys.readouterr().err, argv
+        assert not (tmp_path / "o").exists(), argv
     # layer shapes the model cannot build: 30 channels do not split into
     # GroupNorm's 7 groups, d_tok 64 does not split into 5 attention heads
     assert run(["gen-data", "--out", tmp_path / "data", "--count", 2]) == 0

@@ -368,6 +368,7 @@ def test_nonfinite_loss_aborts_with_seed(tmp_path):
     model.store["base.conv_in.w"].data[...] = np.inf
     from interactdiff.errors import NumericError
 
-    with pytest.raises(NumericError, match="step 1"):
+    # inf weights make numpy warn (inf - inf) before the loss check raises
+    with pytest.raises(NumericError, match="step 1"), pytest.warns(RuntimeWarning):
         train_phase(model, tiny_dataset(), tiny_train_config(), phase=1,
                     out_dir=tmp_path)

@@ -20,7 +20,7 @@ D_TOK = 64
 
 def make_tokenizer(seed=0):
     store = ParameterStore()
-    tok = InteractionTokenizer(store, vocab_size=len(VOCAB), seed=seed)
+    tok = InteractionTokenizer(store, seed=seed)
     return store, tok
 
 
@@ -46,11 +46,6 @@ def test_instance_requires_consistent_action_box():
     inst = make_instance(rng)
     with pytest.raises(ContractError):
         InteractionInstance(inst.s, inst.a, inst.o, inst.b_s, inst.b_s, inst.b_o)
-    # explicit override keeps a custom action box
-    custom = InteractionInstance(
-        inst.s, inst.a, inst.o, inst.b_s, inst.b_s, inst.b_o, action_box_override=True
-    )
-    assert custom.b_a == inst.b_s
 
 
 def test_zero_weights_give_zero_tokens():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interactdiff.numerics as N
-from interactdiff.errors import CheckpointError, ContractError, NumericError, ShapeError
+from interactdiff.errors import CheckpointError, ContractError, ShapeError
 from interactdiff.layers import NEG_MASK, GroupNorm
 from interactdiff.numerics import (
     ParameterStore,
@@ -14,6 +14,7 @@ from interactdiff.numerics import (
     adam_step,
     load_checkpoint,
     save_checkpoint,
+    tensor,
 )
 
 from oracles import CHECKPOINT_FAULTS, check_gradients, composed_attention, corrupt_checkpoint
@@ -113,7 +114,7 @@ class TestLayerNorm:
 
     def test_closed_form_pm1(self):
         eps = 1e-5
-        out = N.layer_norm(Tensor([1.0, -1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=eps)
+        out = N.layer_norm(Tensor([1.0, -1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         expect = np.array([1.0, -1.0]) / np.sqrt(1.0 + eps)
         assert np.allclose(out.data, expect, atol=1e-14)
 
@@ -151,22 +152,13 @@ class TestBackward:
 
         assert run() == run()
 
-    def test_strict_nonfinite_raises(self):
-        with pytest.raises(NumericError):
-            N.log(Tensor([-1.0]))
-
-    def test_strict_off_allows_nonfinite(self):
-        with N.strict_mode(False):
-            out = N.log(Tensor([-1.0]))
-        assert np.isnan(out.data[0])
-
     def test_no_grad_builds_no_tape_and_restores_it_after_an_error(self):
         w = Tensor([2.0], requires_grad=True)
-        with pytest.raises(NumericError):
+        with pytest.raises(ShapeError):
             with N.no_grad():
                 out = w * w
                 assert out._backward is None and out._parents == () and not out.requires_grad
-                N.log(-w)  # strict mode raises inside the block
+                N.matmul(w, Tensor(np.ones((2, 2))))
         out = w * w
         assert out._backward is not None
         out.sum().backward()
@@ -177,29 +169,31 @@ def _rand(shape):
     return RNG.normal(size=shape)
 
 
+def _sq(y):
+    return y * y
+
+
 FD_CASES = [
     ("add", lambda a, b: (a + b).sum() if True else None, [(3, 4), (3, 4)]),
     ("add_broadcast", lambda a, b: (a + b).sum(), [(3, 4), (4,)]),
     ("mul", lambda a, b: (a * b * a).sum(), [(2, 5), (2, 5)]),
     ("matmul", lambda a, b: (a @ b).sum(), [(3, 4), (4, 2)]),
     ("batched_matmul", lambda a, b: (a @ b).sum(), [(2, 3, 4), (2, 4, 3)]),
-    ("attention", lambda q, k, v: (N.attention(q, k, v, 2) ** 2.0).sum(), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
-    ("attention_bias", lambda q, k, v, b: (N.attention(q, k, v, 2, b) ** 2.0).sum(), [(1, 3, 4), (1, 5, 4), (1, 5, 4), (2, 1, 5)]),
-    ("layer_norm", lambda x, g, b: (N.layer_norm(x, g, b) ** 2.0).sum(), [(4, 6), (6,), (6,)]),
-    ("group_norm", lambda x, g, b: (N.layer_norm(x, g, b, axis=(1, 3)) ** 2.0).sum(), [(2, 4, 3, 2), (3, 2), (3, 2)]),
+    ("attention", lambda q, k, v: _sq(N.attention(q, k, v, 2)).sum(), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+    ("attention_bias", lambda q, k, v, b: _sq(N.attention(q, k, v, 2, b)).sum(), [(1, 3, 4), (1, 5, 4), (1, 5, 4), (2, 1, 5)]),
+    ("layer_norm", lambda x, g, b: _sq(N.layer_norm(x, g, b)).sum(), [(4, 6), (6,), (6,)]),
+    ("group_norm", lambda x, g, b: _sq(N.layer_norm(x, g, b, axis=(1, 3))).sum(), [(2, 4, 3, 2), (3, 2), (3, 2)]),
     ("tanh", lambda a: N.tanh(a).sum(), [(7,)]),
     ("silu", lambda a: N.silu(a).sum(), [(7,)]),
-    ("exp", lambda a: N.exp(a).sum(), [(5,)]),
-    ("sqrt_abs", lambda a: N.sqrt(a * a + 1.0).sum(), [(5,)]),
-    ("power", lambda a: (a ** 4.0).sum(), [(5,)]),
-    ("mean", lambda a: (a.mean(axis=0) ** 2.0).sum(), [(4, 3)]),
+    ("mean", lambda a: _sq(a.mean(axis=0)).sum(), [(4, 3)]),
+    ("reshape", lambda a, b: (a.reshape(4, 3) * b).sum(), [(2, 6), (4, 3)]),
     ("transpose", lambda a: (a.transpose(1, 0) @ a).sum(), [(3, 4)]),
     ("transpose_4d", lambda a, b: (a.transpose(0, 2, 3, 1) * b).sum(), [(2, 3, 4, 5), (2, 4, 5, 3)]),
-    ("concat", lambda a, b: (N.concat([a, b], axis=1) ** 2.0).sum(), [(2, 3), (2, 4)]),
-    ("slice", lambda a: (a[1:, :2] ** 2.0).sum(), [(4, 4)]),
-    ("conv2d", lambda x, w, b: (N.conv2d(x, w, b, padding=1) ** 2.0).sum(), [(2, 5, 5, 3), (4, 3, 3, 3), (4,)]),
-    ("conv2d_stride2", lambda x, w, b: (N.conv2d(x, w, b, stride=2, padding=1) ** 2.0).sum(), [(1, 6, 6, 2), (3, 2, 3, 3), (3,)]),
-    ("upsample", lambda x: (N.upsample_nearest2(x) ** 2.0).sum(), [(1, 3, 3, 2)]),
+    ("concat", lambda a, b: _sq(N.concat([a, b], axis=1)).sum(), [(2, 3), (2, 4)]),
+    ("slice", lambda a: _sq(a[1:, :2]).sum(), [(4, 4)]),
+    ("conv2d", lambda x, w, b: _sq(N.conv2d(x, w, b)).sum(), [(2, 5, 5, 3), (4, 3, 3, 3), (4,)]),
+    ("conv2d_stride2", lambda x, w, b: _sq(N.conv2d(x, w, b, stride=2)).sum(), [(1, 6, 6, 2), (3, 2, 3, 3), (3,)]),
+    ("upsample", lambda x: _sq(N.upsample_nearest2(x)).sum(), [(1, 3, 3, 2)]),
 ]
 
 
@@ -209,6 +203,32 @@ def test_gradients_match_finite_differences(name, func, shapes):
     for _ in range(5):
         arrays = [_rand(s) for s in shapes]
         check_gradients(func, arrays, rtol=1e-4, h=1e-5)
+
+
+def test_fd_cases_cover_every_op_the_model_builds(monkeypatch):
+    """Every op that a phase-1 and a phase-2 training step and a gated sample
+    put in the graph has a finite-difference case in FD_CASES."""
+    from interactdiff.diffusion import InteractionDiffusionModel, loss_step, make_batch, sample
+    from test_diffusion import TINY, tiny_dataset
+
+    ops, make = [], tensor._make
+
+    def spy(data, parents, backward, op):
+        ops.append(op)
+        return make(data, parents, backward, op)
+
+    monkeypatch.setattr(tensor, "_make", spy)
+    rng = np.random.default_rng(0)
+    model, ds = InteractionDiffusionModel(TINY), tiny_dataset(n=4)
+    for with_interactions in (False, True):
+        loss_step(model, make_batch(ds, rng, 2, 0.0, with_interactions), rng).backward()
+    sample(model, [list(s.caption_ids) for s, _ in ds], [list(s.interactions) for s, _ in ds],
+           steps=2, omega=1.0)
+    built = set(ops)
+    ops.clear()
+    for _, func, shapes in FD_CASES:
+        func(*[Tensor(rng.normal(size=s)) for s in shapes])
+    assert built <= set(ops), f"ops without an FD case: {sorted(built - set(ops))}"
 
 
 def _conv_loops(x, w, b, stride, padding, g):
@@ -243,7 +263,7 @@ def test_conv2d_matches_direct_loops(stride):
     rng = np.random.default_rng(11)
     x, w, b = rng.normal(size=(2, 5, 6, 3)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
     ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-    out = N.conv2d(*ts, stride=stride, padding=1)
+    out = N.conv2d(*ts, stride=stride)
     g = rng.normal(size=out.shape)
     (out * Tensor(g)).sum().backward()
     expect = _conv_loops(x, w, b, stride, 1, g)
@@ -256,7 +276,7 @@ def test_conv2d_float32_matches_direct_loops():
     rng = np.random.default_rng(13)
     x, w, b = rng.normal(size=(2, 6, 5, 4)), rng.normal(size=(3, 4, 3, 3)), rng.normal(size=3)
     with N.dtype_mode(np.float32):
-        out = N.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1).data
+        out = N.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
     want = _conv_loops(x, w, b, 1, 1, np.zeros((2, 6, 5, 3)))[0]
     assert out.dtype == np.float32
     assert np.allclose(out, want, rtol=1e-5, atol=1e-5)
@@ -264,9 +284,9 @@ def test_conv2d_float32_matches_direct_loops():
 
 def test_group_norm_matches_per_group_normalisation():
     rng = np.random.default_rng(12)
-    B, H, W, C, groups, eps = 2, 3, 4, 8, 2, 1e-5
+    B, H, W, C, groups, eps = 2, 3, 4, 8, 2, 1e-5  # 8 channels make 2 groups
     store = ParameterStore()
-    gn = GroupNorm(store, "gn", C, groups=groups, eps=eps)
+    gn = GroupNorm(store, "gn", C)
     gain, bias = rng.normal(size=C), rng.normal(size=C)
     store["gn.gain"].data[:] = gain
     store["gn.bias"].data[:] = bias
@@ -286,7 +306,7 @@ def test_group_norm_matches_per_group_normalisation():
 def test_embedding_gradient():
     ids = np.array([[0, 2], [2, 1]])
     table = Tensor(_rand((3, 4)), requires_grad=True)
-    N.embedding(table, ids).sum().backward()
+    N.take(table, ids).sum().backward()
     expect = np.zeros((3, 4))
     expect[0] += 1
     expect[1] += 1
@@ -313,7 +333,7 @@ class TestAdam:
 
     def test_first_step_magnitude(self):
         store, t = self._store_with("w", [0.0], grad=[1.0])
-        adam_step(store, lr=1e-3, eps=1e-8)
+        adam_step(store, lr=1e-3)
         # bias-corrected first step is -lr * g/(|g| + eps-slack)
         assert abs(t.data[0] + 1e-3) < 1e-9
 
@@ -336,7 +356,7 @@ class TestAdam:
         snapshot = frozen.data.tobytes()
         for _ in range(20):
             store.zero_grad()
-            loss = ((frozen @ live) ** 2.0).sum()
+            loss = _sq(frozen @ live).sum()
             loss.backward()
             adam_step(store, lr=1e-2)
         assert frozen.data.tobytes() == snapshot
