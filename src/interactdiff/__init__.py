@@ -4,7 +4,7 @@ Subpackages:
   numerics  - tensor autodiff core, parameter store, checkpoints
   geometry  - bounding-box algebra and Fourier coordinate encodings
   scenes    - synthetic interaction-scene generator, renderer, dataset I/O
-  intoken   - interaction tokenizer (label + box -> token triplets)
+  intoken   - interaction tokenizer (labels + boxes -> one token block)
   inbedding - instance / role embeddings and padding
   informer  - transformer blocks with gated interaction self-attention
   diffusion - noise schedule, UNet denoiser, training loop, sampler

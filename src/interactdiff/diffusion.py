@@ -165,27 +165,23 @@ class InteractionDiffusionModel:
         self.conv_out = Conv2d(s, "base.conv_out", cb, 3, zero_init=True)
         self.tokenizer = InteractionTokenizer(
             s,
-            prefix="inter.tok",
             d_text=config.d_text,
             d_tok=config.d_tok,
             n_freqs=config.n_freqs,
             seed=config.init_seed + 1,
         )
         self.embedder = InteractionEmbeddings(
-            s, prefix="inter.embed", n_max=config.n_max, d_tok=config.d_tok,
-            seed=config.init_seed + 2,
+            s, n_max=config.n_max, d_tok=config.d_tok, seed=config.init_seed + 2,
         )
 
     # -- conditioning -------------------------------------------------------
 
     def interaction_tokens(self, interactions) -> tuple[Tensor, np.ndarray] | None:
         """Tokenize + embed a batch of per-scene instance lists."""
-        if interactions is None or all(not insts for insts in interactions):
+        if interactions is None or not any(interactions):
             return None
-        flat = [inst for insts in interactions for inst in (insts or [])]
-        h_s, h_a, h_o = self.tokenizer.tokenize_instances(flat)
-        counts = [len(insts or []) for insts in interactions]
-        return self.embedder.embed_batch(h_s, h_a, h_o, counts)
+        tokens = self.tokenizer.tokenize_instances([i for insts in interactions for i in insts])
+        return self.embedder.embed_batch(tokens, [len(insts) for insts in interactions])
 
     # -- denoiser forward ---------------------------------------------------
 
@@ -284,7 +280,7 @@ def make_batch(dataset, rng, batch_size: int,
     return z0, captions, interactions
 
 
-def loss_step(model: InteractionDiffusionModel, batch, rng, eta: int = 1) -> Tensor:
+def loss_step(model: InteractionDiffusionModel, batch, rng) -> Tensor:
     """One objective evaluation: || eps - eps_pred ||^2 averaged over batch
     and pixels, with t and eps sampled from `rng`."""
     z0, captions, interactions = batch
@@ -294,7 +290,7 @@ def loss_step(model: InteractionDiffusionModel, batch, rng, eta: int = 1) -> Ten
     t = rng.integers(1, model.config.t_train + 1, size=B)
     eps = rng.standard_normal(z0.shape)
     z_t = model.schedule.q_sample(z0, t, eps)
-    pred = model.forward(z_t, t, captions, interactions, eta=eta)
+    pred = model.forward(z_t, t, captions, interactions)
     diff = pred - Tensor(eps)
     return (diff * diff).mean()
 
@@ -353,7 +349,7 @@ def train_phase(
             batch = make_batch(
                 dataset, rng, tcfg.batch_size, tcfg.caption_dropout, with_inter
             )
-            loss = loss_step(model, batch, rng, eta=1)
+            loss = loss_step(model, batch, rng)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise NumericError(
@@ -429,8 +425,7 @@ def sample(
 
     def step(z, i, eta):  # reverse step i, 0-based
         t, tp = ts[i], prev[i]
-        inter = interactions if eta == 1 else None
-        eps = model.forward(z, np.full(B, t), caption_ids, inter, eta=eta).data
+        eps = model.forward(z, np.full(B, t), caption_ids, interactions, eta=eta).data
         x0 = np.clip((z - math.sqrt(1.0 - ab[t]) * eps) / math.sqrt(ab[t]), -1.0, 1.0)
         return math.sqrt(ab[tp]) * x0 + math.sqrt(1.0 - ab[tp]) * eps
 

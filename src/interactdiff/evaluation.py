@@ -156,13 +156,16 @@ def _ap_from_matches(tp_flags: list[bool], n_gt: int) -> float:
     return float(ap)
 
 
+# subject and object IoU a detection needs to match a ground truth
+MATCH_IOU = 0.5
+
+
 def detection_map(
     detections_per_image: list[list[DetectedInteraction]],
     ground_truth_per_image: list,
-    iou_thresh: float = 0.5,
 ) -> EvalReport:
     """HOI-style AP: a detection matches an unmatched ground truth with the
-    same triplet class when both subject and object IoU clear the threshold.
+    same triplet class when both subject and object IoU reach MATCH_IOU.
 
     ground_truth_per_image holds lists of InteractionInstance.
     """
@@ -196,7 +199,7 @@ def detection_map(
         tp_flags = []
         for img_idx, det in dets:
             best = None
-            best_iou = iou_thresh
+            best_iou = MATCH_IOU
             for gi, gt in enumerate(ground_truth_per_image[img_idx]):
                 if (gt.s, gt.a, gt.o) != cls or (img_idx, gi) in matched:
                     continue

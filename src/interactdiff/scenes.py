@@ -21,9 +21,8 @@ detector.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +75,6 @@ class ToyVocabulary:
     def __init__(self):
         self.tokens = list(FUNCTION_WORDS) + SUBJECTS + ACTIONS + OBJECTS
         self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
-        self.subjects = SUBJECTS
-        self.objects = OBJECTS
-        self.actions = ACTIONS
         self.subject_ids = [self.id_of[s] for s in SUBJECTS]
         self.object_ids = [self.id_of[o] for o in OBJECTS]
         self.action_ids = [self.id_of[a] for a in ACTIONS]
@@ -147,15 +143,6 @@ class SceneSpec:
     interactions: list[InteractionInstance]
     caption_ids: list[int]
 
-    @property
-    def entities(self) -> list[tuple[int, BoundingBox]]:
-        """(label id, box) for every subject and object in the scene."""
-        ents = []
-        for inst in self.interactions:
-            ents.append((inst.s, inst.b_s))
-            ents.append((inst.o, inst.b_o))
-        return ents
-
     def to_json_obj(self, image_path: str) -> dict:
         return {
             "image": image_path,
@@ -176,22 +163,42 @@ class SceneSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SceneSpec":
-        insts = [
-            InteractionInstance(
-                s=rec["s"],
-                a=rec["a"],
-                o=rec["o"],
-                b_s=BoundingBox.from_list(rec["bs"]),
-                b_a=BoundingBox.from_list(rec["ba"]),
-                b_o=BoundingBox.from_list(rec["bo"]),
-            )
-            for rec in obj["interactions"]
-        ]
-        return cls(
-            image_size=int(obj["size"]),
-            interactions=insts,
-            caption_ids=[int(t) for t in obj["caption_ids"]],
-        )
+        """Scene of one JSONL record.  A missing or ill-typed field, a box
+        that breaks the BoundingBox or between contract, a label outside its
+        role's ids or a caption id outside the vocabulary raises DataError.
+        Other keys are ignored: sample sidecars carry more."""
+        try:
+            size, captions, records = obj["size"], obj["caption_ids"], obj["interactions"]
+            if (type(size) is not int or not isinstance(captions, list)
+                    or not isinstance(records, list)):
+                raise TypeError("size must be an integer, caption_ids and interactions lists")
+            insts = [
+                InteractionInstance(
+                    s=_label_id(rec["s"], VOCAB.subject_ids, "subject"),
+                    a=_label_id(rec["a"], VOCAB.action_ids, "action"),
+                    o=_label_id(rec["o"], VOCAB.object_ids, "object"),
+                    b_s=_box(rec["bs"]),
+                    b_a=_box(rec["ba"]),
+                    b_o=_box(rec["bo"]),
+                )
+                for rec in records
+            ]
+            caption_ids = [_label_id(t, range(len(VOCAB)), "caption") for t in captions]
+        except (KeyError, TypeError, ContractError) as exc:
+            raise DataError(f"malformed scene record: {exc!r}") from exc
+        return cls(image_size=size, interactions=insts, caption_ids=caption_ids)
+
+
+def _label_id(value, ids, role: str) -> int:
+    if type(value) is not int or value not in ids:
+        raise DataError(f"{value!r} is not a {role} id")
+    return value
+
+
+def _box(coords) -> BoundingBox:
+    if not isinstance(coords, list) or any(type(v) not in (int, float) for v in coords):
+        raise DataError(f"box {coords!r} is not a list of numbers")
+    return BoundingBox.from_list(coords)
 
 
 @dataclass
@@ -578,21 +585,29 @@ def write_dataset(scenes: list[SceneSpec], path) -> None:
             fh.write(json.dumps(scene.to_json_obj(rel), sort_keys=True) + "\n")
 
 
+def scene_records(path):
+    """Yield (line number, record, SceneSpec) for each non-blank line of a
+    JSONL scene file; a malformed record raises DataError naming path:line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                scene = SceneSpec.from_json_obj(obj)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: malformed JSON record") from exc
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            yield lineno, obj, scene
+
+
 def read_dataset(path):
     """Yield (SceneSpec, image) pairs from a JSONL dataset."""
     path = os.fspath(path)
     base = os.path.dirname(path) or "."
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON record") from exc
-            scene = SceneSpec.from_json_obj(obj)
-            img_path = os.path.join(base, obj["image"])
-            if not os.path.exists(img_path):
-                raise DataError(f"{path}:{lineno}: missing image file {obj['image']}")
-            yield scene, read_ppm(img_path)
+    for lineno, obj, scene in scene_records(path):
+        image = obj.get("image")
+        if not isinstance(image, str) or not os.path.exists(os.path.join(base, image)):
+            raise DataError(f"{path}:{lineno}: missing image file {image}")
+        yield scene, read_ppm(os.path.join(base, image))

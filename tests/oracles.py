@@ -177,6 +177,26 @@ def corrupt_checkpoint(data: bytes, fault: str) -> bytes:
     return prefix.pack(magic, version, len(blob)) + blob + payload
 
 
+# malformed scene records: each names a change to a well-formed record
+SCENE_FAULTS = ("no-interactions", "caption-999", "box-string", "subject-is-action")
+
+
+def corrupt_scene_record(obj: dict, fault: str) -> dict:
+    """A copy of JSONL scene record `obj` with one fault from SCENE_FAULTS."""
+    obj = json.loads(json.dumps(obj))
+    if fault == "no-interactions":
+        del obj["interactions"]
+    elif fault == "caption-999":
+        obj["caption_ids"][0] = 999
+    elif fault == "box-string":
+        obj["interactions"][0]["bs"] = "abcd"
+    elif fault == "subject-is-action":
+        obj["interactions"][0]["s"] = 9  # "pushing"
+    else:
+        raise ValueError(f"unknown fault {fault!r}")
+    return obj
+
+
 def live_phase2_checkpoint(path, config):
     """Save a fresh model in its phase-2 state (base frozen, `inter.*`
     trainable) with perturbed interaction weights, open gates and a nonzero
@@ -195,3 +215,16 @@ def live_phase2_checkpoint(path, config):
             p.data += rng.normal(0.0, 0.05, size=p.shape)
     model.save(path)
     return path
+
+
+def random_tokens(rng, n, d):
+    """Stand-in tokenizer output for n instances: (h_s, h_a, h_o), each
+    (n, d), drawn instance by instance in that role order."""
+    draws = [[rng.normal(size=d) for _ in range(3)] for _ in range(n)]
+    return tuple(np.array([row[role] for row in draws]).reshape(n, d) for role in range(3))
+
+
+def token_block(h_s, h_a, h_o):
+    """Those rows in the tokenizer's layout: every subject row, then every
+    object row, then every action row."""
+    return Tensor(np.concatenate([h_s, h_o, h_a]))

@@ -25,12 +25,12 @@ from interactdiff.diffusion import (
 from interactdiff.evaluation import detect, detection_map, image_features, kid_analog
 from interactdiff.geometry import BoundingBox, between
 from interactdiff.inbedding import InteractionEmbeddings
-from interactdiff.intoken import EntityTokenTriplet, InteractionTokenizer
+from interactdiff.intoken import InteractionTokenizer
 from interactdiff import numerics as N
 from interactdiff.numerics import ParameterStore, Tensor, load_checkpoint, save_checkpoint
 from interactdiff.scenes import VOCAB, build_dataset, generate_scene, render
 
-from oracles import between_bruteforce, bounding_hull, check_gradients
+from oracles import between_bruteforce, bounding_hull, check_gradients, random_tokens, token_block
 from test_numerics import FD_CASES, _rand
 
 REF_DIR = os.path.join(os.path.dirname(__file__), "reference_run")
@@ -190,27 +190,21 @@ def test_criterion_5_embedding_algebra():
     rng = np.random.default_rng(5)
     for trial in range(20):
         n = int(rng.integers(1, 5))
-        trips = [
-            EntityTokenTriplet(
-                h_s=Tensor(rng.normal(size=64)),
-                h_a=Tensor(rng.normal(size=64)),
-                h_o=Tensor(rng.normal(size=64)),
-            )
-            for _ in range(n)
-        ]
-        toks, mask = emb.embed_instances(trips)
-        q = store[f"{emb.prefix}.instance"].data
-        r = store[f"{emb.prefix}.role"].data
-        for i, t in enumerate(trips):
-            qs = toks.data[3 * i + 0] - t.h_s.data - r[0]
-            qa = toks.data[3 * i + 1] - t.h_a.data - r[1]
-            qo = toks.data[3 * i + 2] - t.h_o.data - r[2]
+        h_s, h_a, h_o = random_tokens(rng, n, 64)
+        toks, mask = emb.embed_batch(token_block(h_s, h_a, h_o), [n])
+        toks = toks.data[0]
+        q = store["inter.embed.instance"].data
+        r = store["inter.embed.role"].data
+        for i in range(n):
+            qs = toks[3 * i + 0] - h_s[i] - r[0]
+            qa = toks[3 * i + 1] - h_a[i] - r[1]
+            qo = toks[3 * i + 2] - h_o[i] - r[2]
             # same-instance sharing, machine precision
             assert np.max(np.abs(qs - q[i])) <= 1e-14
             assert np.max(np.abs(qa - q[i])) <= 1e-14
             assert np.max(np.abs(qo - q[i])) <= 1e-14
             # same-role sharing
-            assert np.max(np.abs((toks.data[3 * i + 1] - t.h_a.data - q[i]) - r[1])) <= 1e-14
+            assert np.max(np.abs((toks[3 * i + 1] - h_a[i] - q[i]) - r[1])) <= 1e-14
 
 
 def test_criterion_5_masked_padding_invariance():
@@ -220,21 +214,11 @@ def test_criterion_5_masked_padding_invariance():
     rng = np.random.default_rng(6)
     block = InformerBlock(store, "blk", n_tokens=16, d_tok=64, n_heads=4, rng=rng)
     store["inter.blk.gate_gamma"].data[...] = 0.8
-    emb = InteractionEmbeddings(store, prefix="inter.embx", n_max=4, d_tok=64, seed=6)
-    trips = [
-        EntityTokenTriplet(
-            h_s=Tensor(rng.normal(size=64)),
-            h_a=Tensor(rng.normal(size=64)),
-            h_o=Tensor(rng.normal(size=64)),
-        )
-        for _ in range(2)
-    ]
-    toks, mask = emb.embed_instances(trips)
+    emb = InteractionEmbeddings(ParameterStore(), n_max=4, d_tok=64, seed=6)
+    toks1, mask1 = emb.embed_batch(token_block(*random_tokens(rng, 2, 64)), [2])
     v = Tensor(rng.normal(size=(1, 16, 64)))
     cap = Tensor(rng.normal(size=(1, 5, 64)))
     cap_mask = np.ones((1, 5), dtype=bool)
-    toks1 = Tensor(toks.data[None])
-    mask1 = mask[None]
     extra = Tensor(np.concatenate([toks1.data, rng.normal(size=(1, 6, 64))], axis=1))
     extra_mask = np.concatenate([mask1, np.zeros((1, 6), dtype=bool)], axis=1)
     out = block(v, cap, cap_mask, toks1, mask1, eta=1)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +20,13 @@ from interactdiff.errors import CheckpointError, ConfigError
 from interactdiff.numerics import ParameterStore, Tensor, load_checkpoint, save_checkpoint
 from interactdiff.scenes import SceneSpec, build_dataset, read_ppm, write_dataset, write_ppm
 
-from oracles import CHECKPOINT_FAULTS, corrupt_checkpoint, live_phase2_checkpoint
+from oracles import (
+    CHECKPOINT_FAULTS,
+    SCENE_FAULTS,
+    corrupt_checkpoint,
+    corrupt_scene_record,
+    live_phase2_checkpoint,
+)
 
 
 REF_CFG = Path(__file__).parent / "reference_run" / "run.cfg"
@@ -483,13 +490,33 @@ def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
     dets = [evaluation.detect(img) for img in images]
     feats_gen = np.stack([evaluation.image_features(img, d) for img, d in zip(images, dets)])
     for omega in (0.0, 0.5, 1.0):
-        report = evaluation.detection_map(dets, gts, iou_thresh=0.5)
+        report = evaluation.detection_map(dets, gts)
         report.kid, kid_err = evaluation.kid_analog(feats_real, feats_gen)
         report.config_echo["kid_stderr"] = kid_err
         report.config_echo.update(load_run_config(mini / "tiny.cfg", {"eval_count": 100}).to_dict())
         report.config_echo["omega"] = omega
         assert report.kid is not None
         assert (out / f"report_omega{omega:.2f}.json").read_text() == report.to_json() + "\n"
+
+
+@pytest.mark.parametrize("fault", SCENE_FAULTS)
+def test_malformed_scene_record_exits_3(mini, tmp_path, capsys, fault):
+    """Every command that reads a scene record rejects a malformed one with
+    exit 3, naming the file and line."""
+    data = tmp_path / "data"
+    shutil.copytree(mini / "data", data)
+    path = data / "scenes.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps(corrupt_scene_record(json.loads(lines[1]), fault))
+    path.write_text("\n".join(lines) + "\n")
+    ckpt = mini / "run" / "phase2_final.ckpt"
+    for argv in (["train", "--config", mini / "tiny.cfg", "--data", data],
+                 ["eval", "--ckpt", ckpt, "--data", data],
+                 ["eval", "--use-renders", "--data", data],
+                 ["sample", "--ckpt", ckpt, "--scene-json", path]):
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path / "o"]) == 3, argv
+        assert f"{path}:2: " in capsys.readouterr().err, argv
 
 
 def test_eval_empty_test_set(tmp_path, mini):

@@ -313,7 +313,7 @@ def _graph_ops(loss) -> dict:
     return ops
 
 
-@pytest.mark.parametrize("phase,bound,n_attention", [(1, 180, 6), (2, 185, 8)])
+@pytest.mark.parametrize("phase,bound,n_attention", [(1, 180, 6), (2, 183, 8)])
 def test_loss_graph_size(phase, bound, n_attention):
     """Channels-last activations need no layout shuffles and each attention
     is one fused node: the only transpose gives forward its (B, 3, S, S)

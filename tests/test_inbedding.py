@@ -5,8 +5,9 @@ import pytest
 
 from interactdiff.errors import CapacityError
 from interactdiff.inbedding import InteractionEmbeddings
-from interactdiff.intoken import EntityTokenTriplet
-from interactdiff.numerics import ParameterStore, Tensor
+from interactdiff.numerics import ParameterStore
+
+from oracles import random_tokens, token_block
 
 D = 64
 N_MAX = 4
@@ -18,64 +19,62 @@ def make_embedder(seed=0):
     return store, emb
 
 
-def random_triplets(rng, n):
-    return [
-        EntityTokenTriplet(
-            h_s=Tensor(rng.normal(size=D)),
-            h_a=Tensor(rng.normal(size=D)),
-            h_o=Tensor(rng.normal(size=D)),
-        )
-        for _ in range(n)
-    ]
+def embed_scene(emb, h_s, h_a, h_o):
+    """Slots and mask of one scene, embedded as a batch of one."""
+    toks, mask = emb.embed_batch(token_block(h_s, h_a, h_o), [len(h_s)])
+    return toks.data[0], mask[0]
 
 
 def test_zero_embeddings_are_identity():
     store, emb = make_embedder()
-    store[f"{emb.prefix}.instance"].data[...] = 0.0
-    store[f"{emb.prefix}.role"].data[...] = 0.0
+    store["inter.embed.instance"].data[...] = 0.0
+    store["inter.embed.role"].data[...] = 0.0
     rng = np.random.default_rng(0)
-    trips = random_triplets(rng, 2)
-    toks, mask = emb.embed_instances(trips)
-    for i, t in enumerate(trips):
-        assert np.allclose(toks.data[3 * i + 0], t.h_s.data)
-        assert np.allclose(toks.data[3 * i + 1], t.h_a.data)
-        assert np.allclose(toks.data[3 * i + 2], t.h_o.data)
+    h_s, h_a, h_o = random_tokens(rng, 2, D)
+    toks, _ = embed_scene(emb, h_s, h_a, h_o)
+    for i in range(2):
+        assert np.allclose(toks[3 * i + 0], h_s[i])
+        assert np.allclose(toks[3 * i + 1], h_a[i])
+        assert np.allclose(toks[3 * i + 2], h_o[i])
 
 
 def test_slot_layout_and_mask():
+    """Scene 0 holds n = 0..N_MAX instances, scene 1 one more, so n = 0 is
+    an empty scene next to a non-empty one."""
     store, emb = make_embedder()
     rng = np.random.default_rng(1)
+    null = store["inter.embed.null"].data
     for n in range(N_MAX + 1):
-        toks, mask = emb.embed_instances(random_triplets(rng, n))
-        assert toks.shape == (3 * N_MAX, D)
-        assert mask.shape == (3 * N_MAX,)
-        assert mask[: 3 * n].all()
-        assert not mask[3 * n :].any()
-        # padded slots carry the learned null token
-        null = store[f"{emb.prefix}.null"].data
-        for slot in range(3 * n, 3 * N_MAX):
-            assert np.array_equal(toks.data[slot], null)
+        toks, mask = emb.embed_batch(token_block(*random_tokens(rng, n + 1, D)), [n, 1])
+        assert toks.shape == (2, 3 * N_MAX, D)
+        assert mask.shape == (2, 3 * N_MAX)
+        for b, count in enumerate((n, 1)):
+            assert mask[b, : 3 * count].all()
+            assert not mask[b, 3 * count :].any()
+            # padded slots carry the learned null token
+            for slot in range(3 * count, 3 * N_MAX):
+                assert np.array_equal(toks.data[b, slot], null)
 
 
 def test_capacity_error():
     _, emb = make_embedder()
     rng = np.random.default_rng(2)
     with pytest.raises(CapacityError, match="4"):
-        emb.embed_instances(random_triplets(rng, N_MAX + 1))
+        embed_scene(emb, *random_tokens(rng, N_MAX + 1, D))
 
 
 def test_same_instance_sharing():
     """e - h - r is the same q_i for all three roles of instance i."""
     store, emb = make_embedder()
     rng = np.random.default_rng(3)
-    trips = random_triplets(rng, 3)
-    toks, _ = emb.embed_instances(trips)
-    r = store[f"{emb.prefix}.role"].data
-    q = store[f"{emb.prefix}.instance"].data
-    for i, t in enumerate(trips):
-        qs = toks.data[3 * i + 0] - t.h_s.data - r[0]
-        qa = toks.data[3 * i + 1] - t.h_a.data - r[1]
-        qo = toks.data[3 * i + 2] - t.h_o.data - r[2]
+    h_s, h_a, h_o = random_tokens(rng, 3, D)
+    toks, _ = embed_scene(emb, h_s, h_a, h_o)
+    r = store["inter.embed.role"].data
+    q = store["inter.embed.instance"].data
+    for i in range(3):
+        qs = toks[3 * i + 0] - h_s[i] - r[0]
+        qa = toks[3 * i + 1] - h_a[i] - r[1]
+        qo = toks[3 * i + 2] - h_o[i] - r[2]
         assert np.allclose(qs, q[i], atol=1e-12)
         assert np.allclose(qa, q[i], atol=1e-12)
         assert np.allclose(qo, q[i], atol=1e-12)
@@ -85,24 +84,24 @@ def test_same_role_sharing():
     """e^a - h^a - q_i recovers the single role vector r_a for every i."""
     store, emb = make_embedder()
     rng = np.random.default_rng(4)
-    trips = random_triplets(rng, N_MAX)
-    toks, _ = emb.embed_instances(trips)
-    q = store[f"{emb.prefix}.instance"].data
-    r_a = store[f"{emb.prefix}.role"].data[1]
-    for i, t in enumerate(trips):
-        assert np.allclose(toks.data[3 * i + 1] - t.h_a.data - q[i], r_a, atol=1e-12)
+    h_s, h_a, h_o = random_tokens(rng, N_MAX, D)
+    toks, _ = embed_scene(emb, h_s, h_a, h_o)
+    q = store["inter.embed.instance"].data
+    r_a = store["inter.embed.role"].data[1]
+    for i in range(N_MAX):
+        assert np.allclose(toks[3 * i + 1] - h_a[i] - q[i], r_a, atol=1e-12)
 
 
 def test_instance_perturbation_locality():
     store, emb = make_embedder()
     rng = np.random.default_rng(5)
-    trips = random_triplets(rng, 3)
-    before, _ = emb.embed_instances(trips)
+    tokens = random_tokens(rng, 3, D)
+    before, _ = embed_scene(emb, *tokens)
     delta = rng.normal(size=D)
-    store[f"{emb.prefix}.instance"].data[1] += delta
-    after, _ = emb.embed_instances(trips)
+    store["inter.embed.instance"].data[1] += delta
+    after, _ = embed_scene(emb, *tokens)
     for slot in range(9):
-        diff = after.data[slot] - before.data[slot]
+        diff = after[slot] - before[slot]
         if slot // 3 == 1:
             assert np.allclose(diff, delta, atol=1e-12)
         else:
@@ -112,13 +111,13 @@ def test_instance_perturbation_locality():
 def test_role_perturbation_hits_all_instances():
     store, emb = make_embedder()
     rng = np.random.default_rng(6)
-    trips = random_triplets(rng, 3)
-    before, _ = emb.embed_instances(trips)
+    tokens = random_tokens(rng, 3, D)
+    before, _ = embed_scene(emb, *tokens)
     delta = rng.normal(size=D)
-    store[f"{emb.prefix}.role"].data[1] += delta  # action role
-    after, _ = emb.embed_instances(trips)
+    store["inter.embed.role"].data[1] += delta  # action role
+    after, _ = embed_scene(emb, *tokens)
     for slot in range(9):
-        diff = after.data[slot] - before.data[slot]
+        diff = after[slot] - before[slot]
         if slot % 3 == 1:
             assert np.allclose(diff, delta, atol=1e-12)
         else:
@@ -129,33 +128,28 @@ def test_additivity_in_tokens():
     """embed(h + d) == embed(h) + d on valid slots: pure addition."""
     _, emb = make_embedder()
     rng = np.random.default_rng(7)
-    trips = random_triplets(rng, 2)
+    tokens = random_tokens(rng, 2, D)
     delta = rng.normal(size=D)
-    shifted = [
-        EntityTokenTriplet(
-            h_s=Tensor(t.h_s.data + delta),
-            h_a=Tensor(t.h_a.data + delta),
-            h_o=Tensor(t.h_o.data + delta),
-        )
-        for t in trips
-    ]
-    base, _ = emb.embed_instances(trips)
-    moved, _ = emb.embed_instances(shifted)
-    assert np.allclose(moved.data[:6], base.data[:6] + delta, atol=1e-12)
-    assert np.array_equal(moved.data[6:], base.data[6:])  # padding untouched
+    base, _ = embed_scene(emb, *tokens)
+    moved, _ = embed_scene(emb, *(h + delta for h in tokens))
+    assert np.allclose(moved[:6], base[:6] + delta, atol=1e-12)
+    assert np.array_equal(moved[6:], base[6:])  # padding untouched
 
 
 def test_batch_matches_single_scene():
     store, emb = make_embedder()
     rng = np.random.default_rng(8)
-    scenes = [random_triplets(rng, n) for n in (1, 3, 0, 2)]
-    flat = [t for trips in scenes for t in trips]
-    h_s, h_a, h_o = (Tensor(np.stack([getattr(t, role).data for t in flat]))
-                     for role in ("h_s", "h_a", "h_o"))
+    scenes = [random_tokens(rng, n, D) for n in (1, 3, 0, 2)]
+    h_s, h_a, h_o = (np.concatenate([s[role] for s in scenes]) for role in range(3))
 
-    toks, mask = emb.embed_batch(h_s, h_a, h_o, [len(s) for s in scenes])
+    toks, mask = emb.embed_batch(token_block(h_s, h_a, h_o), [len(s[0]) for s in scenes])
     assert toks.shape == (4, 3 * N_MAX, D)
-    for b, trips in enumerate(scenes):
-        single, smask = emb.embed_instances(trips)
-        assert np.array_equal(toks.data[b], single.data)
+    for b, tokens in enumerate(scenes):
+        if len(tokens[0]) == 0:  # an empty scene: every slot null and masked
+            null = store["inter.embed.null"].data
+            assert np.array_equal(toks.data[b], np.tile(null, (3 * N_MAX, 1)))
+            assert not mask[b].any()
+            continue
+        single, smask = embed_scene(emb, *tokens)
+        assert np.array_equal(toks.data[b], single)
         assert np.array_equal(mask[b], smask)

@@ -8,8 +8,9 @@ import pytest
 from interactdiff.errors import ContractError
 from interactdiff.inbedding import InteractionEmbeddings
 from interactdiff.informer import InformerBlock, SamplerConfig, eta_schedule
-from interactdiff.intoken import EntityTokenTriplet
 from interactdiff.numerics import ParameterStore, Tensor
+
+from oracles import random_tokens, token_block
 
 D = 64
 HEADS = 4
@@ -78,26 +79,25 @@ def make_block(seed=0):
     store = ParameterStore()
     rng = np.random.default_rng(seed)
     block = InformerBlock(store, "blk", n_tokens=M, d_tok=D, n_heads=HEADS, rng=rng)
-    emb = InteractionEmbeddings(store, prefix="inter.embx", n_max=4, d_tok=D, seed=seed)
+    emb = InteractionEmbeddings(ParameterStore(), n_max=4, d_tok=D, seed=seed)
     return store, block, emb
+
+
+def scene_tokens(rng, emb, batch, n_inter):
+    """Embedded tokens and mask of one random scene of `n_inter` instances,
+    repeated `batch` times; an empty scene is embedded next to a non-empty
+    one."""
+    counts = [n_inter] if n_inter else [0, 1]
+    toks, mask = emb.embed_batch(token_block(*random_tokens(rng, sum(counts), D)), counts)
+    toks = Tensor(np.broadcast_to(toks.data[0], (batch,) + toks.shape[1:]).copy())
+    return toks, np.broadcast_to(mask[0], (batch, mask.shape[1])).copy()
 
 
 def inputs(rng, batch=2, n_inter=2, emb=None):
     v = Tensor(rng.normal(size=(batch, M, D)))
     cap = Tensor(rng.normal(size=(batch, 6, D)))
     cap_mask = np.ones((batch, 6), dtype=bool)
-    trips = [
-        EntityTokenTriplet(
-            h_s=Tensor(rng.normal(size=D)),
-            h_a=Tensor(rng.normal(size=D)),
-            h_o=Tensor(rng.normal(size=D)),
-        )
-        for _ in range(n_inter)
-    ]
-    toks, mask = emb.embed_instances(trips)
-    toks = Tensor(np.broadcast_to(toks.data, (batch,) + toks.shape).copy())
-    mask = np.broadcast_to(mask, (batch, mask.shape[0])).copy()
-    return v, cap, cap_mask, toks, mask
+    return (v, cap, cap_mask) + scene_tokens(rng, emb, batch, n_inter)
 
 
 def test_gate_zero_is_bit_identical_to_base():
@@ -137,22 +137,12 @@ def test_token_slicing_output_shape():
         block = InformerBlock(store, "blk", n_tokens=m, d_tok=D, n_heads=HEADS,
                               rng=np.random.default_rng(0))
         store["inter.blk.gate_gamma"].data[...] = 0.7
-        emb = InteractionEmbeddings(store, prefix="inter.embx", n_max=4, d_tok=D)
+        emb = InteractionEmbeddings(ParameterStore(), n_max=4, d_tok=D)
         for n_inter in (0, 1, 4):
             v = Tensor(rng.normal(size=(2, m, D)))
             cap = Tensor(rng.normal(size=(2, 5, D)))
             cap_mask = np.ones((2, 5), dtype=bool)
-            trips = [
-                EntityTokenTriplet(
-                    h_s=Tensor(rng.normal(size=D)),
-                    h_a=Tensor(rng.normal(size=D)),
-                    h_o=Tensor(rng.normal(size=D)),
-                )
-                for _ in range(n_inter)
-            ]
-            toks, mask = emb.embed_instances(trips)
-            toks = Tensor(np.broadcast_to(toks.data, (2,) + toks.shape).copy())
-            mask = np.broadcast_to(mask, (2, mask.shape[0])).copy()
+            toks, mask = scene_tokens(rng, emb, 2, n_inter)
             out = block(v, cap, cap_mask, toks, mask, eta=1)
             assert out.shape == (2, m, D)
 

@@ -5,15 +5,9 @@ import pytest
 
 from interactdiff.errors import ContractError, VocabularyError
 from interactdiff.geometry import BoundingBox, between
-from interactdiff.intoken import (
-    EntityTokenTriplet,
-    InteractionInstance,
-    InteractionTokenizer,
-)
+from interactdiff.intoken import InteractionInstance, InteractionTokenizer
 from interactdiff.numerics import ParameterStore, Tensor
 from interactdiff.scenes import VOCAB
-
-from oracles import check_gradients
 
 D_TOK = 64
 
@@ -22,6 +16,13 @@ def make_tokenizer(seed=0):
     store = ParameterStore()
     tok = InteractionTokenizer(store, seed=seed)
     return store, tok
+
+
+def rows(tok, inst):
+    """(h_s, h_a, h_o) of one instance: rows 0, 2 and 1 of its token block."""
+    block = tok.tokenize_instances([inst]).data
+    assert block.shape == (3, D_TOK)
+    return block[0], block[2], block[1]
 
 
 def make_instance(rng, s=None, a=None, o=None):
@@ -54,9 +55,7 @@ def test_zero_weights_give_zero_tokens():
         if "mlp" in name:
             store[name].data[...] = 0.0
     rng = np.random.default_rng(1)
-    trip = tok.intoken(make_instance(rng))
-    for h in (trip.h_s, trip.h_a, trip.h_o):
-        assert np.allclose(h.data, 0.0)
+    assert np.allclose(tok.tokenize_instances([make_instance(rng)]).data, 0.0)
 
 
 def test_silu_fixes_zero():
@@ -69,14 +68,16 @@ def test_silu_fixes_zero():
 def test_token_shapes_and_determinism():
     store, tok = make_tokenizer()
     rng = np.random.default_rng(2)
-    inst = make_instance(rng)
-    t1 = tok.intoken(inst)
-    t2 = tok.intoken(inst)
-    for h in (t1.h_s, t1.h_a, t1.h_o):
-        assert h.shape == (D_TOK,)
-    assert np.array_equal(t1.h_s.data, t2.h_s.data)
-    assert np.array_equal(t1.h_a.data, t2.h_a.data)
-    assert np.array_equal(t1.h_o.data, t2.h_o.data)
+    insts = [make_instance(rng) for _ in range(3)]
+    block = tok.tokenize_instances(insts)
+    assert block.shape == (3 * 3, D_TOK)
+    assert np.array_equal(block.data, tok.tokenize_instances(insts).data)
+    # subjects, then objects, then actions: each row is its instance's alone
+    for i, inst in enumerate(insts):
+        h_s, h_a, h_o = rows(tok, inst)
+        assert np.allclose(block.data[i], h_s, atol=1e-12)
+        assert np.allclose(block.data[3 + i], h_o, atol=1e-12)
+        assert np.allclose(block.data[6 + i], h_a, atol=1e-12)
 
 
 def test_identical_label_box_identical_tokens():
@@ -88,8 +89,8 @@ def test_identical_label_box_identical_tokens():
         s=inst.s, a=inst.a, o=inst.s, b_s=inst.b_s,
         b_a=between(inst.b_s, inst.b_s), b_o=inst.b_s,
     )
-    trip = tok.intoken(same)
-    assert np.allclose(trip.h_s.data, trip.h_o.data, atol=1e-12)
+    h_s, _, h_o = rows(tok, same)
+    assert np.allclose(h_s, h_o, atol=1e-12)
 
 
 def test_swapping_subject_object_swaps_tokens():
@@ -100,25 +101,24 @@ def test_swapping_subject_object_swaps_tokens():
         s=inst.o, a=inst.a, o=inst.s, b_s=inst.b_o,
         b_a=between(inst.b_o, inst.b_s), b_o=inst.b_s,
     )
-    t1, t2 = tok.intoken(inst), tok.intoken(swapped)
-    assert np.allclose(t1.h_s.data, t2.h_o.data, atol=1e-12)
-    assert np.allclose(t1.h_o.data, t2.h_s.data, atol=1e-12)
+    (s1, a1, o1), (s2, a2, o2) = rows(tok, inst), rows(tok, swapped)
+    assert np.allclose(s1, o2, atol=1e-12)
+    assert np.allclose(o1, s2, atol=1e-12)
     # the action box is symmetric, so the action token is unchanged
-    assert np.allclose(t1.h_a.data, t2.h_a.data, atol=1e-12)
+    assert np.allclose(a1, a2, atol=1e-12)
 
 
 def test_object_and_action_paths_differ():
+    """Subject and action rows with equal inputs (label embedding and box)
+    differ, because they go through different MLPs."""
     store, tok = make_tokenizer(seed=9)
     rng = np.random.default_rng(5)
-    label = Tensor(rng.normal(size=(1, tok.d_text)))
-    box = Tensor(rng.normal(size=(1, tok.d_four)))
-    assert not np.allclose(tok.object_mlp(label, box).data, tok.action_mlp(label, box).data)
-
-
-def test_mlp_dimension_mismatch():
-    store, tok = make_tokenizer()
-    with pytest.raises(ContractError):
-        tok.object_mlp(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, tok.d_four))))
+    inst = make_instance(rng)
+    table = store["inter.tok.label_embed"].data
+    table[inst.a] = table[inst.s]
+    same_box = InteractionInstance(inst.s, inst.a, inst.o, inst.b_s, inst.b_s, inst.b_s)
+    h_s, h_a, _ = rows(tok, same_box)
+    assert not np.allclose(h_s, h_a)
 
 
 def test_unknown_label_raises():
@@ -129,7 +129,9 @@ def test_unknown_label_raises():
         s=len(VOCAB) + 5, a=inst.a, o=inst.o, b_s=inst.b_s, b_a=inst.b_a, b_o=inst.b_o
     )
     with pytest.raises(VocabularyError):
-        tok.intoken(bad)
+        tok.tokenize_instances([inst, bad])
+    with pytest.raises(ContractError):
+        tok.tokenize_instances([])
 
 
 def test_weight_sharing_structure():
@@ -138,59 +140,74 @@ def test_weight_sharing_structure():
     store, tok = make_tokenizer()
     rng = np.random.default_rng(7)
     inst = make_instance(rng)
-    base = tok.intoken(inst)
-    store[f"{tok.prefix}.object_mlp.0.w"].data[0, 0] += 0.5
-    moved = tok.intoken(inst)
-    assert not np.allclose(moved.h_s.data, base.h_s.data)
-    assert not np.allclose(moved.h_o.data, base.h_o.data)
-    assert np.array_equal(moved.h_a.data, base.h_a.data)
-    store[f"{tok.prefix}.action_mlp.0.w"].data[0, 0] += 0.5
-    moved2 = tok.intoken(inst)
-    assert np.array_equal(moved2.h_s.data, moved.h_s.data)
-    assert np.array_equal(moved2.h_o.data, moved.h_o.data)
-    assert not np.allclose(moved2.h_a.data, moved.h_a.data)
+    base = rows(tok, inst)
+    store["inter.tok.object_mlp.0.w"].data[0, 0] += 0.5
+    moved = rows(tok, inst)
+    assert not np.allclose(moved[0], base[0])
+    assert not np.allclose(moved[2], base[2])
+    assert np.array_equal(moved[1], base[1])
+    store["inter.tok.action_mlp.0.w"].data[0, 0] += 0.5
+    moved2 = rows(tok, inst)
+    assert np.array_equal(moved2[0], moved[0])
+    assert np.array_equal(moved2[2], moved[2])
+    assert not np.allclose(moved2[1], moved[1])
+
+
+def assert_store_grad_matches_fd(store, name, entries, readout, h=1e-5):
+    """Tape gradient of `readout()` w.r.t. parameter `name` against central
+    differences at each index in `entries`."""
+    store.zero_grad()
+    readout().backward()
+    analytic = store[name].grad.copy()
+    data = store[name].data
+    for idx in entries:
+        keep = data[idx]
+        data[idx] = keep + h
+        fp = readout().item()
+        data[idx] = keep - h
+        fm = readout().item()
+        data[idx] = keep
+        num = (fp - fm) / (2 * h)
+        assert abs(analytic[idx] - num) / max(abs(num), 1.0) <= 1e-4, (name, idx)
 
 
 @pytest.mark.parametrize("which", ["object_mlp", "action_mlp"])
 def test_mlp_gradients_match_fd(which):
+    """Each MLP's gradient w.r.t. its weights and, through it, w.r.t. the
+    label embeddings it reads (the box features are constants)."""
     store, tok = make_tokenizer()
     rng = np.random.default_rng(8)
-    label = rng.normal(size=(2, tok.d_text)) * 0.5
-    box = rng.normal(size=(2, tok.d_four)) * 0.5
-    probe = rng.normal(size=(2, tok.d_tok))
+    insts = [make_instance(rng) for _ in range(2)]
+    probe = Tensor(rng.normal(size=(3 * 2, D_TOK)))
 
-    def f(label_t, box_t):
-        out = getattr(tok, which)(label_t, box_t)
-        return (out * Tensor(probe)).sum()
+    def readout():
+        return (tok.tokenize_instances(insts) * probe).sum()
 
-    check_gradients(f, [label, box])
+    def some_entries(name, count=6):
+        return [tuple(int(rng.integers(0, n)) for n in store[name].shape) for _ in range(count)]
+
+    for layer in (0, 1):
+        for kind in ("w", "b"):
+            name = f"inter.tok.{which}.{layer}.{kind}"
+            assert_store_grad_matches_fd(store, name, some_entries(name), readout)
+    if which == "action_mlp":
+        labels = [i.a for i in insts]
+    else:
+        labels = [i.s for i in insts] + [i.o for i in insts]
+    entries = [(row, col) for row in labels for col in range(0, D_TOK, 16)]
+    assert_store_grad_matches_fd(store, "inter.tok.label_embed", entries, readout)
 
 
 def test_end_to_end_gradient_through_label_table():
-    """Scalar readout of the token triplet differentiates back to the label
+    """Scalar readout of the token block differentiates back to the label
     embedding table and matches finite differences."""
     store, tok = make_tokenizer()
     rng = np.random.default_rng(9)
     inst = make_instance(rng)
     probe = rng.normal(size=(D_TOK,))
-    table_name = f"{tok.prefix}.label_embed"
-    base_table = store[table_name].data.copy()
 
     def readout():
-        trip = tok.intoken(inst)
-        return ((trip.h_s + trip.h_a + trip.h_o) * Tensor(probe)).sum()
+        return (tok.tokenize_instances([inst]) * Tensor(probe)).sum()
 
-    store.zero_grad()
-    loss = readout()
-    loss.backward()
-    analytic = store[table_name].grad.copy()
-    h = 1e-5
-    for row in (inst.s, inst.a, inst.o):
-        for col in range(0, D_TOK, 16):  # probe a spread of columns
-            store[table_name].data[row, col] = base_table[row, col] + h
-            fp = readout().item()
-            store[table_name].data[row, col] = base_table[row, col] - h
-            fm = readout().item()
-            store[table_name].data[row, col] = base_table[row, col]
-            num = (fp - fm) / (2 * h)
-            assert abs(analytic[row, col] - num) / max(abs(num), 1.0) <= 1e-4
+    entries = [(row, col) for row in (inst.s, inst.a, inst.o) for col in range(0, D_TOK, 16)]
+    assert_store_grad_matches_fd(store, "inter.tok.label_embed", entries, readout)

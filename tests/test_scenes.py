@@ -29,7 +29,7 @@ from interactdiff.scenes import (
     write_ppm,
 )
 
-from oracles import bounding_hull
+from oracles import SCENE_FAULTS, bounding_hull, corrupt_scene_record
 
 BG = np.array(BACKGROUND_COLOR, dtype=np.float64) / 127.5 - 1.0
 
@@ -147,15 +147,20 @@ def test_read_dataset_empty_file(tmp_path):
 
 
 def test_read_dataset_truncated_line(tmp_path):
+    """A truncated or malformed second record raises DataError naming line 2."""
     path = tmp_path / "scenes.jsonl"
     good = generate_scene(0).to_json_obj("images/00000.ppm")
     import json
 
-    path.write_text(json.dumps(good) + "\n" + json.dumps(good)[: len(json.dumps(good)) // 2] + "\n")
     (tmp_path / "images").mkdir()
     write_ppm(tmp_path / "images" / "00000.ppm", render(generate_scene(0)))
-    with pytest.raises(DataError, match=r":2"):
-        list(read_dataset(path))
+    bad_lines = [json.dumps(good)[: len(json.dumps(good)) // 2]]
+    bad_lines += [json.dumps(corrupt_scene_record(good, fault)) for fault in SCENE_FAULTS]
+    for bad in bad_lines:
+        path.write_text(json.dumps(good) + "\n" + bad + "\n")
+        with pytest.raises(DataError) as err:
+            list(read_dataset(path))
+        assert str(err.value).startswith(f"{path}:2: "), bad
 
 
 def test_read_dataset_missing_image(tmp_path):
