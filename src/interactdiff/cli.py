@@ -203,11 +203,11 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_pairs(data_dir):
+def _load_pairs(data_dir, n_max=None, image_size=None):
     path = os.path.join(data_dir, "scenes.jsonl")
     if not os.path.exists(path):
         raise DataError(f"dataset not found: {path}")
-    return list(read_dataset(path))
+    return list(read_dataset(path, n_max, image_size))
 
 
 def cmd_train(args) -> int:
@@ -217,9 +217,6 @@ def cmd_train(args) -> int:
 
 
 def _cmd_train(args, cfg: RunConfig) -> int:
-    dataset = _load_pairs(args.data)
-    if not dataset:
-        raise DataError(f"dataset at {args.data} is empty")
     tcfg = cfg.train_config()
     phases = [1, 2] if args.phase == "both" else [int(args.phase)]
     start = 0
@@ -238,6 +235,9 @@ def _cmd_train(args, cfg: RunConfig) -> int:
         model, _ = InteractionDiffusionModel.load(base)
     else:
         model = InteractionDiffusionModel(cfg.model_config())
+    dataset = _load_pairs(args.data, model.config.n_max, model.config.image_size)
+    if not dataset:
+        raise DataError(f"dataset at {args.data} is empty")
     _write_config_echo(cfg, args.out)
     for phase in phases:
         final = train_phase(model, dataset, tcfg, phase, args.out, start_step=start)
@@ -278,7 +278,8 @@ def cmd_sample(args) -> int:
 
 def _cmd_sample(args, cfg: RunConfig) -> int:
     model, _ = InteractionDiffusionModel.load(args.ckpt)
-    specs = [scene for _, _, scene in itertools.islice(scene_records(args.scene_json), args.count)]
+    records = scene_records(args.scene_json, model.config.n_max)
+    specs = [scene for _, _, scene in itertools.islice(records, args.count)]
     if not specs:
         raise DataError(f"no conditions in {args.scene_json}")
     os.makedirs(args.out, exist_ok=True)
@@ -325,7 +326,19 @@ def cmd_eval(args) -> int:
 
 
 def _cmd_eval(args, cfg: RunConfig) -> int:
-    pairs = _load_pairs(args.data)
+    try:
+        omegas = [float(v) for v in args.omega_sweep.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"bad --omega-sweep: {args.omega_sweep!r}") from exc
+    if any(not 0.0 <= w <= 1.0 for w in omegas):
+        raise ConfigError(f"--omega-sweep {args.omega_sweep!r}: every omega must be in [0,1]")
+    tags = [f"omega{w:.2f}" for w in omegas]
+    if not tags:
+        raise ConfigError("--omega-sweep lists no omega")
+    if len(set(tags)) < len(tags):  # each tag names one report file
+        raise ConfigError(f"--omega-sweep {args.omega_sweep!r} repeats an omega at two decimals")
+    model = None if args.use_renders else InteractionDiffusionModel.load(args.ckpt)[0]
+    pairs = _load_pairs(args.data, None if model is None else model.config.n_max)
     if not pairs:
         raise DataError(f"test set at {args.data} is empty")
     pairs = pairs[: cfg.eval_count]
@@ -333,18 +346,6 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     real_images = [p[1] for p in pairs]
     os.makedirs(args.out, exist_ok=True)
     _write_config_echo(cfg, args.out)
-    try:
-        omegas = [float(v) for v in args.omega_sweep.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad --omega-sweep: {args.omega_sweep!r}") from exc
-    if any(not 0.0 <= w <= 1.0 for w in omegas):
-        raise ConfigError("all sweep omegas must be in [0,1]")
-    tags = [f"omega{w:.2f}" for w in omegas]
-    if not tags:
-        raise ConfigError("--omega-sweep lists no omega")
-    if len(set(tags)) < len(tags):  # each tag names one report file
-        raise ConfigError(f"--omega-sweep {args.omega_sweep!r} repeats an omega at two decimals")
-    model = None if args.use_renders else InteractionDiffusionModel.load(args.ckpt)[0]
     # the real images' features do not depend on omega: detect them once
     real_dets = feats_real = None
     if args.use_renders or len(real_images) >= 100:

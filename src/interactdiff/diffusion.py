@@ -113,11 +113,9 @@ class CaptionEncoder:
     pad slot so cross-attention always has a key."""
 
     def __init__(self, store, prefix, length, dim, rng):
-        self.store = store
-        self.prefix = prefix
         self.length = length
-        store.add(f"{prefix}.tok", Tensor(rng.normal(0.0, 0.02, size=(len(VOCAB), dim))))
-        store.add(f"{prefix}.pos", Tensor(rng.normal(0.0, 0.02, size=(length, dim))))
+        self.tok = store.add(f"{prefix}.tok", Tensor(rng.normal(0.0, 0.02, size=(len(VOCAB), dim))))
+        self.pos = store.add(f"{prefix}.pos", Tensor(rng.normal(0.0, 0.02, size=(length, dim))))
 
     def __call__(self, caption_ids: list[list[int]]) -> tuple[Tensor, np.ndarray]:
         B = len(caption_ids)
@@ -127,18 +125,17 @@ class CaptionEncoder:
             n = min(len(cap), self.length)
             ids[b, :n] = cap[:n]
             mask[b, : max(n, 1)] = True
-        emb = N.take(self.store[f"{self.prefix}.tok"], ids)
-        return emb + self.store[f"{self.prefix}.pos"], mask
+        return N.take(self.tok, ids) + self.pos, mask
 
 
 class InteractionDiffusionModel:
     """Denoiser eps(z_t, t, caption, interactions) with a pluggable
     interaction module (all its parameters live under the `inter.` prefix)."""
 
-    def __init__(self, config: ModelConfig, store: ParameterStore | None = None):
+    def __init__(self, config: ModelConfig):
         self.config = config
         self.schedule = NoiseSchedule(config.t_train, config.beta_start, config.beta_end)
-        self.store = store if store is not None else ParameterStore()
+        self.store = ParameterStore()
         rng = np.random.default_rng(config.init_seed)
         # the middle levels are as wide as the informer tokens they feed
         cb, mb = config.base_channels, config.d_tok

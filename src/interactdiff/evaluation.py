@@ -52,11 +52,16 @@ class DetectedInteraction:
     confidence: float
 
 
+def _palette_distances(image: np.ndarray) -> np.ndarray:
+    """(HW, n_colours) squared RGB distances of a (3, H, W) image's pixels."""
+    pix = image.reshape(3, -1).T  # (HW, 3)
+    return ((pix[:, None, :] - _ALL_COLORS[None, :, :]) ** 2).sum(axis=2)
+
+
 def _find_entities(image: np.ndarray):
     """Connected colour blobs -> (label_id, box, confidence) candidates."""
     _, h, w = image.shape
-    pix = image.reshape(3, -1).T  # (HW, 3)
-    d2 = ((pix[:, None, :] - _ALL_COLORS[None, :, :]) ** 2).sum(axis=2)
+    d2 = _palette_distances(image)
     nearest = d2.argmin(axis=1).reshape(h, w)
     near_dist = np.sqrt(d2.min(axis=1)).reshape(h, w)
     entities = []
@@ -235,11 +240,8 @@ def detection_map(
 def image_features(image: np.ndarray, detections=None) -> np.ndarray:
     """Handcrafted feature vector: per-palette pixel fractions plus mean
     detected-entity box statistics (cx, cy, w, h)."""
-    _, h, w = image.shape
-    pix = image.reshape(3, -1).T
-    d2 = ((pix[:, None, :] - _ALL_COLORS[None, :, :]) ** 2).sum(axis=2)
-    nearest = d2.argmin(axis=1)
-    fracs = np.bincount(nearest, minlength=_ALL_COLORS.shape[0]) / pix.shape[0]
+    nearest = _palette_distances(image).argmin(axis=1)
+    fracs = np.bincount(nearest, minlength=_ALL_COLORS.shape[0]) / nearest.size
     if detections is None:
         detections = detect(image)
     boxes = [d.b_s for d in detections] + [d.b_o for d in detections]

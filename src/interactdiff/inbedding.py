@@ -25,13 +25,11 @@ class InteractionEmbeddings:
         d_tok: int = 64,
         seed: int = 0,
     ):
-        self.store = store
         self.n_max = n_max
-        self.d_tok = d_tok
         rng = np.random.default_rng(seed)
-        store.add(f"{PREFIX}.instance", Tensor(rng.normal(0.0, 0.02, size=(n_max, d_tok))))
-        store.add(f"{PREFIX}.role", Tensor(rng.normal(0.0, 0.02, size=(3, d_tok))))
-        store.add(f"{PREFIX}.null", Tensor(rng.normal(0.0, 0.02, size=(d_tok,))))
+        self.instance = store.add(f"{PREFIX}.instance", Tensor(rng.normal(0.0, 0.02, size=(n_max, d_tok))))
+        self.role = store.add(f"{PREFIX}.role", Tensor(rng.normal(0.0, 0.02, size=(3, d_tok))))
+        self.null = store.add(f"{PREFIX}.null", Tensor(rng.normal(0.0, 0.02, size=(d_tok,))))
 
     def embed_batch(self, tokens: Tensor, counts) -> tuple[Tensor, np.ndarray]:
         """Pad and embed a batch of scenes.
@@ -66,9 +64,8 @@ class InteractionEmbeddings:
                     slot_ids.append(i)
                     role_ids.append(role)
             start += n
-        q = self.store[f"{PREFIX}.instance"]
-        r = self.store[f"{PREFIX}.role"]
-        null = N.reshape(self.store[f"{PREFIX}.null"], (1, self.d_tok))
         h_all = N.take(tokens, np.array(perm))
-        e_all = h_all + N.take(q, np.array(slot_ids)) + N.take(r, np.array(role_ids))
+        e_all = (h_all + N.take(self.instance, np.array(slot_ids))
+                 + N.take(self.role, np.array(role_ids)))
+        null = self.null.reshape(1, -1)
         return N.take(N.concat([e_all, null], axis=0), idx), mask

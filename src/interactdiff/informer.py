@@ -83,25 +83,21 @@ class InformerBlock:
 
     def __init__(self, store: ParameterStore, name: str, n_tokens: int, d_tok: int,
                  n_heads: int, rng):
-        self.store = store
         self.n_tokens = n_tokens
         base = f"base.{name}"
         inter = f"inter.{name}"
-        store.add(f"{base}.pos", Tensor(grid_position_features(n_tokens, d_tok)))
+        self.pos = store.add(f"{base}.pos", Tensor(grid_position_features(n_tokens, d_tok)))
         self.norm_self = LayerNorm(store, f"{base}.norm_self", d_tok)
         self.self_attn = AttentionLayer(store, f"{base}.self_attn", d_tok, n_heads, rng)
         self.norm_cross = LayerNorm(store, f"{base}.norm_cross", d_tok)
         self.cross_attn = AttentionLayer(store, f"{base}.cross_attn", d_tok, n_heads, rng)
         self.norm_inter = LayerNorm(store, f"{inter}.norm_inter", d_tok)
         self.inter_attn = AttentionLayer(store, f"{inter}.inter_attn", d_tok, n_heads, rng)
-        store.add(f"{inter}.gate_gamma", Tensor(np.zeros(())))  # zero-init gate
+        self.gate_gamma = store.add(f"{inter}.gate_gamma", Tensor(np.zeros(())))  # zero-init gate
         # Additive per-head pre-softmax bias on interaction-key logits; without
         # it the handful of interaction rows must out-compete all M visual rows
         # in the softmax via raw QK magnitudes, which trains extremely slowly.
-        store.add(f"{inter}.key_bias", Tensor(np.zeros(n_heads)))
-        self.n_heads = n_heads
-        self._base = base
-        self._inter = inter
+        self.key_bias = store.add(f"{inter}.key_bias", Tensor(np.zeros(n_heads)))
 
     def __call__(
         self,
@@ -117,7 +113,7 @@ class InformerBlock:
         if eta not in (0, 1):
             raise ContractError(f"eta must be 0 or 1, got {eta}")
         B, M, _ = v.shape
-        v = v + self.store[f"{self._base}.pos"]
+        v = v + self.pos
         normed_v = self.norm_self(v)
         v = v + self.self_attn(normed_v, normed_v)
         if eta == 1 and inter_tokens is not None:
@@ -131,11 +127,11 @@ class InformerBlock:
             )
             # queries from visual rows only == Token Slicing of the full output
             indicator = Tensor(np.concatenate([np.zeros(M), np.ones(n_inter)]))
-            bias = (self.store[f"{self._inter}.key_bias"].reshape(self.n_heads, 1, 1)
+            bias = (self.key_bias.reshape(-1, 1, 1)
                     * indicator.reshape(1, 1, M + n_inter))
             sliced = self.inter_attn(normed[:, :M], normed,
                                      key_mask=key_mask, logit_bias=bias)
-            gate = N.tanh(self.store[f"{self._inter}.gate_gamma"])
+            gate = N.tanh(self.gate_gamma)
             v = v + gate * sliced
         v = v + self.cross_attn(self.norm_cross(v), caption, key_mask=caption_mask)
         return v

@@ -54,10 +54,10 @@ class InteractionTokenizer:
     ):
         from .scenes import VOCAB  # deferred: scenes imports this module
 
-        self.store = store
         self.n_freqs = n_freqs
         rng = np.random.default_rng(seed)
-        store.add(f"{PREFIX}.label_embed", Tensor(rng.normal(0.0, 0.02, size=(len(VOCAB), d_text))))
+        self.label_embed = store.add(
+            f"{PREFIX}.label_embed", Tensor(rng.normal(0.0, 0.02, size=(len(VOCAB), d_text))))
         d_in = d_text + 4 * 2 * n_freqs
         self.mlps = {
             which: (Linear(store, f"{PREFIX}.{which}.0", d_in, 4 * d_tok, rng),
@@ -67,13 +67,12 @@ class InteractionTokenizer:
 
     def _mlp(self, which: str, ids: list[int], boxes: list[BoundingBox]) -> Tensor:
         """One token row per (label id, box) pair through MLP `which`."""
-        table = self.store[f"{PREFIX}.label_embed"]
-        ids = np.asarray(ids)
-        if ids.min() < 0 or ids.max() >= table.shape[0]:
-            raise VocabularyError(f"label id out of range 0..{table.shape[0] - 1}")
+        ids, n_labels = np.asarray(ids), self.label_embed.shape[0]
+        if ids.min() < 0 or ids.max() >= n_labels:
+            raise VocabularyError(f"label id out of range 0..{n_labels - 1}")
         box_emb = Tensor(np.stack([fourier_embed(b, self.n_freqs) for b in boxes]))
         first, second = self.mlps[which]
-        return second(N.silu(first(N.concat([N.take(table, ids), box_emb], axis=-1))))
+        return second(N.silu(first(N.concat([N.take(self.label_embed, ids), box_emb], axis=-1))))
 
     def tokenize_instances(self, instances) -> Tensor:
         """Tokens of n instances as one (3n, d_tok) block: the n subject rows

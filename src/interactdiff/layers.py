@@ -1,7 +1,8 @@
 """Small parameterized layer helpers over the tensor core.
 
 Each helper registers its weights into a shared ParameterStore under a
-caller-chosen name prefix, so freezing and checkpointing work by prefix.
+caller-chosen name prefix, so freezing and checkpointing work by prefix,
+and keeps the Tensors the store hands back.
 """
 
 from __future__ import annotations
@@ -15,38 +16,29 @@ from .numerics import ParameterStore, Tensor
 
 class Linear:
     def __init__(self, store: ParameterStore, name: str, d_in: int, d_out: int, rng, bias: bool = True):
-        self.name = name
-        self.store = store
         scale = 1.0 / np.sqrt(d_in)
-        store.add(f"{name}.w", Tensor(rng.normal(0.0, scale, size=(d_in, d_out))))
-        self.bias = bias
-        if bias:
-            store.add(f"{name}.b", Tensor(np.zeros(d_out)))
+        self.w = store.add(f"{name}.w", Tensor(rng.normal(0.0, scale, size=(d_in, d_out))))
+        self.b = store.add(f"{name}.b", Tensor(np.zeros(d_out))) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.store[f"{self.name}.w"]
-        if self.bias:
-            out = out + self.store[f"{self.name}.b"]
-        return out
+        out = x @ self.w
+        return out if self.b is None else out + self.b
 
 
 class Conv2d:
     """3x3 convolution, padding 1."""
 
     def __init__(self, store, name, c_in, c_out, stride=1, rng=None, zero_init=False):
-        self.name = name
-        self.store = store
         self.stride = stride
         if zero_init:
             w = np.zeros((c_out, c_in, 3, 3))
         else:
             w = rng.normal(0.0, 1.0 / np.sqrt(c_in * 9), size=(c_out, c_in, 3, 3))
-        store.add(f"{name}.w", Tensor(w))
-        store.add(f"{name}.b", Tensor(np.zeros(c_out)))
+        self.w = store.add(f"{name}.w", Tensor(w))
+        self.b = store.add(f"{name}.b", Tensor(np.zeros(c_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        w, b = self.store[f"{self.name}.w"], self.store[f"{self.name}.b"]
-        return N.conv2d(x, w, b, stride=self.stride)
+        return N.conv2d(x, self.w, self.b, stride=self.stride)
 
 
 class GroupNorm:
@@ -55,32 +47,23 @@ class GroupNorm:
     normalized separately."""
 
     def __init__(self, store, name, channels):
-        self.name = name
-        self.store = store
         self.groups = max(1, min(8, channels // 4))
         if channels % self.groups:
             raise ContractError(f"{name}: {self.groups} groups do not divide {channels} channels")
-        store.add(f"{name}.gain", Tensor(np.ones(channels)))
-        store.add(f"{name}.bias", Tensor(np.zeros(channels)))
+        self.gain = store.add(f"{name}.gain", Tensor(np.ones(channels)))
+        self.bias = store.add(f"{name}.bias", Tensor(np.zeros(channels)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        B, H, W, C = x.shape
-        g = self.groups
-        gain = self.store[f"{self.name}.gain"].reshape(g, C // g)
-        bias = self.store[f"{self.name}.bias"].reshape(g, C // g)
-        out = N.layer_norm(x.reshape(B, H * W, g, C // g), gain, bias, axis=(1, 3))
-        return out.reshape(B, H, W, C)
+        return N.layer_norm(x, self.gain, self.bias, groups=self.groups)
 
 
 class LayerNorm:
     def __init__(self, store, name, dim):
-        self.name = name
-        self.store = store
-        store.add(f"{name}.gain", Tensor(np.ones(dim)))
-        store.add(f"{name}.bias", Tensor(np.zeros(dim)))
+        self.gain = store.add(f"{name}.gain", Tensor(np.ones(dim)))
+        self.bias = store.add(f"{name}.bias", Tensor(np.zeros(dim)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return N.layer_norm(x, self.store[f"{self.name}.gain"], self.store[f"{self.name}.bias"])
+        return N.layer_norm(x, self.gain, self.bias)
 
 
 NEG_MASK = -1e30  # additive mask; exp underflows to exactly 0 after max-shift

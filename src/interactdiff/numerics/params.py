@@ -81,6 +81,9 @@ class ParameterStore:
         """Take over `other`'s parameter values, frozen flags, Adam moments
         and step count, e.g. a store read by load_checkpoint.
 
+        It updates this store's Tensors in place (their .data), because
+        layers hold references to them.
+
         Raises CheckpointError unless both stores hold the same parameter
         names with the same shapes.
         """

@@ -416,14 +416,19 @@ def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
     return _make(out, (q, k, v) if bias is None else (q, k, v, bias), backward, "attention")
 
 
-def layer_norm(x, gain, bias, axis=-1) -> Tensor:
-    """Normalize over `axis` (int or tuple) to zero mean / unit variance, with
-    eps 1e-5, then affine; GroupNorm passes axis=(1, 3) of a
-    (B, H*W, groups, C/groups) view.
-    """
+def layer_norm(x, gain, bias, groups=None) -> Tensor:
+    """Normalize over the last axis to zero mean / unit variance, eps 1e-5,
+    then affine.  With `groups` (GroupNorm), x is channels-last (B, H, W, C)
+    with (C,) gain and bias, normalized over axes (1, 3) of a
+    (B, H*W, groups, C/groups) view."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    n = int(np.prod([x.data.shape[a] for a in axes]))
+    shape = x.data.shape
+    axes, view, affine = (-1,), shape, gain.data.shape
+    if groups is not None:
+        B, H, W, C = shape
+        axes, view, affine = (1, 3), (B, H * W, groups, C // groups), (groups, C // groups)
+    xd, gd, bd = x.data.reshape(view), gain.data.reshape(affine), bias.data.reshape(affine)
+    n = int(np.prod([view[a] for a in axes]))
 
     def mean(a):
         # one axis at a time: numpy's multi-axis reductions are much slower
@@ -431,21 +436,22 @@ def layer_norm(x, gain, bias, axis=-1) -> Tensor:
             a = a.sum(axis=ax, keepdims=True)
         return a / n
 
-    mu = mean(x.data)
-    xc = x.data - mu
+    mu = mean(xd)
+    xc = xd - mu
     var = mean(xc * xc)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
-    data = gain.data * xhat + bias.data
+    data = (gd * xhat + bd).reshape(shape)
 
     def backward(g):
+        g = g.reshape(view)
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+            gain._accumulate(_unbroadcast(g * xhat, affine).reshape(gain.data.shape))
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
+            bias._accumulate(_unbroadcast(g, affine).reshape(bias.data.shape))
         if x.requires_grad:
-            gx = g * gain.data
-            x._accumulate((gx - mean(gx) - xhat * mean(gx * xhat)) * inv)
+            gx = g * gd
+            x._accumulate(((gx - mean(gx) - xhat * mean(gx * xhat)) * inv).reshape(shape))
 
     return _make(data, (x, gain, bias), backward, "layer_norm")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -561,13 +562,11 @@ def write_ppm(path, img: np.ndarray) -> None:
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P6":
-        raise DataError(f"{path}: not a binary P6 pixmap")
-    w, h = (int(v) for v in parts[1].split())
-    if parts[2] != b"255":
-        raise DataError(f"{path}: expected 8-bit maxval")
-    raw = np.frombuffer(parts[3][: w * h * 3], dtype=np.uint8)
+    header = re.match(rb"P6\n(\d+) (\d+)\n255\n", data)
+    if header is None:
+        raise DataError(f"{path}: not a binary 8-bit P6 pixmap with a 'width height' line")
+    w, h = int(header[1]), int(header[2])
+    raw = np.frombuffer(data[header.end() :][: w * h * 3], dtype=np.uint8)
     if raw.size != w * h * 3:
         raise DataError(f"{path}: truncated pixel payload")
     return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 127.5 - 1.0
@@ -585,9 +584,10 @@ def write_dataset(scenes: list[SceneSpec], path) -> None:
             fh.write(json.dumps(scene.to_json_obj(rel), sort_keys=True) + "\n")
 
 
-def scene_records(path):
+def scene_records(path, n_max=None):
     """Yield (line number, record, SceneSpec) for each non-blank line of a
-    JSONL scene file; a malformed record raises DataError naming path:line."""
+    JSONL scene file; a malformed record, or one with more than `n_max`
+    instances, raises DataError naming path:line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -595,6 +595,8 @@ def scene_records(path):
             try:
                 obj = json.loads(line)
                 scene = SceneSpec.from_json_obj(obj)
+                if n_max is not None and len(scene.interactions) > n_max:
+                    raise DataError(f"{len(scene.interactions)} instances exceed n_max={n_max}")
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: malformed JSON record") from exc
             except DataError as exc:
@@ -602,12 +604,23 @@ def scene_records(path):
             yield lineno, obj, scene
 
 
-def read_dataset(path):
-    """Yield (SceneSpec, image) pairs from a JSONL dataset."""
+def read_dataset(path, n_max=None, image_size=None):
+    """Yield (SceneSpec, image) pairs from a JSONL dataset.  Raises
+    DataError naming path:line for a record `scene_records` rejects, a
+    missing or malformed image, an image whose width or height is not the
+    record's size, and a size other than `image_size`."""
     path = os.fspath(path)
     base = os.path.dirname(path) or "."
-    for lineno, obj, scene in scene_records(path):
+    for lineno, obj, scene in scene_records(path, n_max):
         image = obj.get("image")
-        if not isinstance(image, str) or not os.path.exists(os.path.join(base, image)):
-            raise DataError(f"{path}:{lineno}: missing image file {image}")
-        yield scene, read_ppm(os.path.join(base, image))
+        try:
+            if not isinstance(image, str) or not os.path.exists(os.path.join(base, image)):
+                raise DataError(f"missing image file {image}")
+            pixels = read_ppm(os.path.join(base, image))
+            if pixels.shape[1:] != (scene.image_size,) * 2:
+                raise DataError(f"{image} is not {scene.image_size} px square, the record's size")
+            if image_size not in (None, scene.image_size):
+                raise DataError(f"size {scene.image_size} is not the model's image_size {image_size}")
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        yield scene, pixels

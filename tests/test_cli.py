@@ -404,17 +404,18 @@ def test_eval_sweep_rows(mini, tmp_path):
         assert (out / f"report_omega{w}.json").exists()
 
 
-@pytest.mark.parametrize("grid", [",", "0.5,0.5", "0.5,0.501"],
-                         ids=["empty", "repeated", "same-tag"])
+@pytest.mark.parametrize("grid", [",", "0.5,0.5", "0.5,0.501", "abc", "1.5"],
+                         ids=["empty", "repeated", "same-tag", "not-a-number", "above-1"])
 def test_eval_rejects_sweep_that_writes_nothing_or_overwrites(mini, tmp_path, capsys, grid):
     """A report is named by its omega at two decimals: a sweep with no omega,
-    or with two omegas of one name, is a config error and writes no report."""
+    with two omegas of one name or with one that is no omega in [0, 1] is a
+    config error, found before the run reads data or writes anything."""
     out = tmp_path / "sweep"
     assert run(["eval", "--config", mini / "tiny.cfg",
                 "--ckpt", mini / "run" / "phase2_final.ckpt", "--data", mini / "data",
                 "--count", 2, "--omega-sweep", grid, "--out", out]) == 2
     assert "--omega-sweep" in capsys.readouterr().err
-    assert not list(out.glob("report_*")) and not (out / "summary.csv").exists()
+    assert not out.exists()
 
 
 def test_eval_sweep_shares_gated_steps_and_equals_independent_sampling(mini, tmp_path,
@@ -499,24 +500,61 @@ def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
         assert (out / f"report_omega{omega:.2f}.json").read_text() == report.to_json() + "\n"
 
 
-@pytest.mark.parametrize("fault", SCENE_FAULTS)
+@pytest.mark.parametrize("fault", SCENE_FAULTS + ("ppm-header",))
 def test_malformed_scene_record_exits_3(mini, tmp_path, capsys, fault):
-    """Every command that reads a scene record rejects a malformed one with
-    exit 3, naming the file and line."""
+    """Every command that reads a scene record rejects a malformed one, and
+    every command that reads its image one whose PPM header is malformed,
+    with exit 3, naming the file and line."""
     data = tmp_path / "data"
     shutil.copytree(mini / "data", data)
     path = data / "scenes.jsonl"
     lines = path.read_text().splitlines()
-    lines[1] = json.dumps(corrupt_scene_record(json.loads(lines[1]), fault))
-    path.write_text("\n".join(lines) + "\n")
     ckpt = mini / "run" / "phase2_final.ckpt"
-    for argv in (["train", "--config", mini / "tiny.cfg", "--data", data],
-                 ["eval", "--ckpt", ckpt, "--data", data],
-                 ["eval", "--use-renders", "--data", data],
-                 ["sample", "--ckpt", ckpt, "--scene-json", path]):
+    commands = [["train", "--config", mini / "tiny.cfg", "--data", data],
+                ["eval", "--ckpt", ckpt, "--data", data],
+                ["eval", "--use-renders", "--data", data],
+                ["sample", "--ckpt", ckpt, "--scene-json", path]]
+    if fault == "ppm-header":
+        (data / json.loads(lines[1])["image"]).write_bytes(b"P6\nabc\n255\n")
+        commands.pop()  # sample reads no image
+    else:
+        lines[1] = json.dumps(corrupt_scene_record(json.loads(lines[1]), fault))
+        path.write_text("\n".join(lines) + "\n")
+    for argv in commands:
         capsys.readouterr()
         assert run(argv + ["--out", tmp_path / "o"]) == 3, argv
         assert f"{path}:2: " in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sample"])
+def test_record_over_n_max_exits_3(mini, tmp_path, capsys, command):
+    """A record with more instances than the model's n_max (4) is a data
+    error naming the file and line, not a failure inside the model."""
+    data = tmp_path / "data"
+    shutil.copytree(mini / "data", data)
+    path = data / "scenes.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["interactions"] = record["interactions"][:1] * 5
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    ckpt = mini / "run" / "phase2_final.ckpt"
+    argv = {"train": ["train", "--config", mini / "tiny.cfg", "--data", data],
+            "eval": ["eval", "--ckpt", ckpt, "--data", data],
+            "sample": ["sample", "--ckpt", ckpt, "--scene-json", path]}[command]
+    assert run(argv + ["--out", tmp_path / "o"]) == 3
+    assert f"{path}:2: 5 instances exceed n_max=4" in capsys.readouterr().err
+
+
+def test_train_rejects_dataset_of_another_image_size(mini, tmp_path, capsys):
+    """A dataset whose scenes are not the model's image_size is a data error
+    naming the first such line, before any training step."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text((mini / "tiny.cfg").read_text() + "image_size = 36\n")
+    assert run(["train", "--config", cfg, "--data", mini / "data", "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert f"{mini / 'data' / 'scenes.jsonl'}:1: " in err and "image_size 36" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_empty_test_set(tmp_path, mini):

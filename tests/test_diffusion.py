@@ -313,11 +313,11 @@ def _graph_ops(loss) -> dict:
     return ops
 
 
-@pytest.mark.parametrize("phase,bound,n_attention", [(1, 180, 6), (2, 183, 8)])
-def test_loss_graph_size(phase, bound, n_attention):
+@pytest.mark.parametrize("phase,bound,n_reshape,n_attention", [(1, 136, 11, 6), (2, 155, 15, 8)])
+def test_loss_graph_size(phase, bound, n_reshape, n_attention):
     """Channels-last activations need no layout shuffles and each attention
-    is one fused node: the only transpose gives forward its (B, 3, S, S)
-    output, and there is no softmax or swapaxes node."""
+    and each GroupNorm is one fused node: the only transpose gives forward
+    its (B, 3, S, S) output, and there is no softmax or swapaxes node."""
     model = InteractionDiffusionModel(TINY)
     model.store.unfreeze("base." if phase == 1 else "inter.")
     model.store.freeze("inter." if phase == 1 else "base.")
@@ -325,6 +325,7 @@ def test_loss_graph_size(phase, bound, n_attention):
     batch = make_batch(tiny_dataset(), rng, 4, 0.0, with_interactions=phase == 2)
     ops = _graph_ops(loss_step(model, batch, rng))
     assert sum(ops.values()) <= bound
+    assert ops["reshape"] <= n_reshape
     assert ops["transpose"] == 1
     assert "softmax" not in ops and "swapaxes" not in ops
     assert ops["attention"] == n_attention

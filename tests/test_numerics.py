@@ -182,7 +182,7 @@ FD_CASES = [
     ("attention", lambda q, k, v: _sq(N.attention(q, k, v, 2)).sum(), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
     ("attention_bias", lambda q, k, v, b: _sq(N.attention(q, k, v, 2, b)).sum(), [(1, 3, 4), (1, 5, 4), (1, 5, 4), (2, 1, 5)]),
     ("layer_norm", lambda x, g, b: _sq(N.layer_norm(x, g, b)).sum(), [(4, 6), (6,), (6,)]),
-    ("group_norm", lambda x, g, b: _sq(N.layer_norm(x, g, b, axis=(1, 3))).sum(), [(2, 4, 3, 2), (3, 2), (3, 2)]),
+    ("group_norm", lambda x, g, b: _sq(N.layer_norm(x, g, b, groups=3)).sum(), [(2, 2, 2, 6), (6,), (6,)]),
     ("tanh", lambda a: N.tanh(a).sum(), [(7,)]),
     ("silu", lambda a: N.silu(a).sum(), [(7,)]),
     ("mean", lambda a: _sq(a.mean(axis=0)).sum(), [(4, 3)]),

@@ -147,7 +147,8 @@ def test_read_dataset_empty_file(tmp_path):
 
 
 def test_read_dataset_truncated_line(tmp_path):
-    """A truncated or malformed second record raises DataError naming line 2."""
+    """A truncated or malformed second record, or one whose size is not its
+    image's, raises DataError naming line 2."""
     path = tmp_path / "scenes.jsonl"
     good = generate_scene(0).to_json_obj("images/00000.ppm")
     import json
@@ -156,6 +157,7 @@ def test_read_dataset_truncated_line(tmp_path):
     write_ppm(tmp_path / "images" / "00000.ppm", render(generate_scene(0)))
     bad_lines = [json.dumps(good)[: len(json.dumps(good)) // 2]]
     bad_lines += [json.dumps(corrupt_scene_record(good, fault)) for fault in SCENE_FAULTS]
+    bad_lines.append(json.dumps(dict(good, size=36)))  # the image is 32 px
     for bad in bad_lines:
         path.write_text(json.dumps(good) + "\n" + bad + "\n")
         with pytest.raises(DataError) as err:
