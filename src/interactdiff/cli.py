@@ -25,12 +25,7 @@ from .diffusion import (
 )
 from .errors import ConfigError, DataError, InteractDiffError, NumericError
 from . import numerics as N
-from .evaluation import (
-    detect,
-    detection_map,
-    image_features,
-    kid_analog,
-)
+from .evaluation import KID_MIN_SAMPLES, detect, detection_map, kid_analog
 from .scenes import (
     VOCAB,
     SceneConfig,
@@ -159,9 +154,10 @@ def _validate(cfg: RunConfig) -> None:
     for name in ("batch_size", "log_every", "eval_batch"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    for name in ("train_scenes", "eval_count"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be >= 0")
+    if cfg.train_scenes < 0:
+        raise ConfigError(f"train_scenes must be >= 0, got {cfg.train_scenes}")
+    if cfg.eval_count < 1:
+        raise ConfigError(f"eval_count must be >= 1, got {cfg.eval_count}")
     if not 1 <= cfg.n_max <= 4:  # the instance counts scenes._regions lays out
         raise ConfigError(f"n_max must be in 1..4, got {cfg.n_max}")
     # two stride-2 downsamples; a holding subject (>= 10 px) must fit a
@@ -289,6 +285,7 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
         name = f"sample_{i:05d}"
         write_ppm(os.path.join(args.out, f"{name}.ppm"), img)
         sidecar = spec.to_json_obj(f"{name}.ppm")
+        sidecar["size"] = model.config.image_size  # the image's, not the condition's
         sidecar["omega"] = cfg.omega
         sidecar["steps"] = cfg.steps
         sidecar["seed"] = seed
@@ -301,22 +298,21 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _features(images, detections):
-    return np.stack([image_features(img, dets) for img, dets in zip(images, detections)])
-
-
-def evaluate_images(images, specs, feats_real, detections=None):
-    """Detection mAP of generated images vs their conditioning scenes, and
-    KID against the real images' features `feats_real` (None: no KID)."""
-    if detections is None:
-        detections = [detect(img) for img in images]
-    gts = [list(s.interactions) for s in specs]
-    report = detection_map(detections, gts)
-    if feats_real is not None and len(images) >= 100 and len(feats_real) >= 100:
-        kid, kid_err = kid_analog(feats_real, _features(images, detections))
+def _report(scores, specs, feats_real):
+    """Report on scored images, one `detect` result each: detection mAP
+    against their conditioning scenes `specs`, and KID of their features
+    against the real images' `feats_real` (None: no KID)."""
+    report = detection_map([dets for dets, _ in scores], [list(s.interactions) for s in specs])
+    if feats_real is not None:
+        kid, kid_err = kid_analog(feats_real, np.stack([feats for _, feats in scores]))
         report.kid = kid
         report.config_echo["kid_stderr"] = kid_err
     return report
+
+
+def evaluate_images(images, specs, feats_real):
+    """`_report` on generated images, each scored once."""
+    return _report([detect(img) for img in images], specs, feats_real)
 
 
 def cmd_eval(args) -> int:
@@ -346,14 +342,14 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     real_images = [p[1] for p in pairs]
     os.makedirs(args.out, exist_ok=True)
     _write_config_echo(cfg, args.out)
-    # the real images' features do not depend on omega: detect them once
-    real_dets = feats_real = None
-    if args.use_renders or len(real_images) >= 100:
-        real_dets = [detect(img) for img in real_images]
-    if len(real_images) >= 100:
-        feats_real = _features(real_images, real_dets)
+    # the real images' scores do not depend on omega: score them once
+    real_scores, feats_real = [], None
+    if args.use_renders or len(real_images) >= KID_MIN_SAMPLES:
+        real_scores = [detect(img) for img in real_images]
+    if len(real_scores) >= KID_MIN_SAMPLES:
+        feats_real = np.stack([feats for _, feats in real_scores])
     if args.use_renders:
-        report = evaluate_images(real_images, specs, feats_real, real_dets)
+        report = _report(real_scores, specs, feats_real)
         report.config_echo.update(cfg.to_dict())
         with open(os.path.join(args.out, "report_renders.json"), "w") as fh:
             fh.write(report.to_json() + "\n")

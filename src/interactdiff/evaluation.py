@@ -41,6 +41,9 @@ COLOR_TOL = 0.55  # max RGB distance (in [-1,1] space) to count a pixel pure
 MIN_AREA = 4  # pixels in a component
 MIN_CONFIDENCE = 0.35  # share of a component's pixels that are pure
 
+# rows per side kid_analog needs; below it, eval reports KID as null
+KID_MIN_SAMPLES = 100
+
 
 @dataclass
 class DetectedInteraction:
@@ -58,12 +61,11 @@ def _palette_distances(image: np.ndarray) -> np.ndarray:
     return ((pix[:, None, :] - _ALL_COLORS[None, :, :]) ** 2).sum(axis=2)
 
 
-def _find_entities(image: np.ndarray):
-    """Connected colour blobs -> (label_id, box, confidence) candidates."""
-    _, h, w = image.shape
-    d2 = _palette_distances(image)
-    nearest = d2.argmin(axis=1).reshape(h, w)
-    near_dist = np.sqrt(d2.min(axis=1)).reshape(h, w)
+def _find_entities(nearest: np.ndarray, near_dist: np.ndarray):
+    """Connected blobs of an (H, W) nearest-palette index map, with each
+    pixel's distance to its nearest colour -> (label_id, box_px, box,
+    confidence) candidates."""
+    h, w = nearest.shape
     entities = []
     for ci, label in enumerate(_ENTITY_LABELS):
         mask = nearest == ci
@@ -83,9 +85,18 @@ def _find_entities(image: np.ndarray):
     return entities
 
 
-def detect(image: np.ndarray) -> list[DetectedInteraction]:
-    """Recover interaction instances from a rendered or generated image."""
-    entities = _find_entities(image)
+def detect(image: np.ndarray) -> tuple[list[DetectedInteraction], np.ndarray]:
+    """Recover interaction instances from a rendered or generated (3, H, W)
+    image, and its KID feature vector, from one nearest-palette pass.
+
+    The features are the share of pixels nearest each palette colour, then
+    the mean cx, cy, w, h over the detected subject and object boxes (zeros
+    when nothing is detected).
+    """
+    _, h, w = image.shape
+    d2 = _palette_distances(image)
+    nearest = d2.argmin(axis=1)
+    entities = _find_entities(nearest.reshape(h, w), np.sqrt(d2.min(axis=1)).reshape(h, w))
     subjects = [e for e in entities if e[0] in VOCAB.subject_ids]
     objects = [e for e in entities if e[0] in VOCAB.object_ids]
     out = []
@@ -104,7 +115,15 @@ def detect(image: np.ndarray) -> list[DetectedInteraction]:
                     confidence=min(s_conf, o_conf),
                 )
             )
-    return out
+    fracs = np.bincount(nearest, minlength=_ALL_COLORS.shape[0]) / nearest.size
+    boxes = [d.b_s for d in out] + [d.b_o for d in out]
+    stats = np.zeros(4)
+    if boxes:
+        # one contiguous row per statistic: each sums as np.mean over a list
+        # does, where a mean over axis 0 of (n, 4) rounds differently
+        x0, y0, x1, y1 = np.array([b.as_list() for b in boxes]).T
+        stats = np.array([(x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0]).mean(axis=1)
+    return out, np.concatenate([fracs, stats])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +210,7 @@ def detection_map(
     per_class_ap = {}
     for cls in sorted(gt_count):
         dets = per_class_dets.get(cls, [])
-        # confidence-ordered, deterministic tie-break by class id then boxes
+        # confidence-ordered, deterministic tie-break by image index then boxes
         dets.sort(
             key=lambda item: (
                 -item[1].confidence,
@@ -237,28 +256,6 @@ def detection_map(
 # ---------------------------------------------------------------------------
 
 
-def image_features(image: np.ndarray, detections=None) -> np.ndarray:
-    """Handcrafted feature vector: per-palette pixel fractions plus mean
-    detected-entity box statistics (cx, cy, w, h)."""
-    nearest = _palette_distances(image).argmin(axis=1)
-    fracs = np.bincount(nearest, minlength=_ALL_COLORS.shape[0]) / nearest.size
-    if detections is None:
-        detections = detect(image)
-    boxes = [d.b_s for d in detections] + [d.b_o for d in detections]
-    if boxes:
-        stats = np.array(
-            [
-                np.mean([(b.x_min + b.x_max) / 2 for b in boxes]),
-                np.mean([(b.y_min + b.y_max) / 2 for b in boxes]),
-                np.mean([b.width for b in boxes]),
-                np.mean([b.height for b in boxes]),
-            ]
-        )
-    else:
-        stats = np.zeros(4)
-    return np.concatenate([fracs, stats])
-
-
 def polynomial_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """k(x, y) = (x.y / d + 1)^3 over rows of x and y."""
     d = x.shape[1]
@@ -297,8 +294,8 @@ def kid_analog(features_real: np.ndarray, features_gen: np.ndarray) -> tuple[flo
     """
     x = np.asarray(features_real, dtype=np.float64)
     y = np.asarray(features_gen, dtype=np.float64)
-    if x.shape[0] < 100 or y.shape[0] < 100:
-        raise ContractError("kid_analog needs at least 100 samples per side")
+    if x.shape[0] < KID_MIN_SAMPLES or y.shape[0] < KID_MIN_SAMPLES:
+        raise ContractError(f"kid_analog needs at least {KID_MIN_SAMPLES} samples per side")
     rng = np.random.default_rng(0)
     estimates = []
     for _ in range(10):

@@ -411,7 +411,7 @@ def _validate_oracle_round_trip(scene: SceneSpec) -> None:
     }
     found = {
         (d.s, d.a, d.o, tuple(d.b_s.as_list()), tuple(d.b_o.as_list()))
-        for d in detect(render(scene))
+        for d in detect(render(scene))[0]
     }
     if truth != found:
         raise GenerationError("oracle round trip failed for placed scene")

@@ -22,7 +22,7 @@ from interactdiff.diffusion import (
     make_batch,
     sample,
 )
-from interactdiff.evaluation import detect, detection_map, image_features, kid_analog
+from interactdiff.evaluation import detect, detection_map, kid_analog
 from interactdiff.geometry import BoundingBox, between
 from interactdiff.inbedding import InteractionEmbeddings
 from interactdiff.intoken import InteractionTokenizer
@@ -233,7 +233,7 @@ def test_criterion_5_masked_padding_invariance():
 
 def test_criterion_6_oracle_detection_exact():
     scenes = [generate_scene(s) for s in range(1000)]
-    dets = [detect(render(s)) for s in scenes]
+    dets = [detect(render(s))[0] for s in scenes]
     gts = [list(s.interactions) for s in scenes]
     report = detection_map(dets, gts)
     assert report.map_full == 1.0
@@ -242,7 +242,7 @@ def test_criterion_6_oracle_detection_exact():
 
 def test_criterion_6_kid_null_distribution():
     scenes = build_dataset(500, seed=1000)
-    feats = np.stack([image_features(render(s)) for s in scenes])
+    feats = np.stack([detect(render(s))[1] for s in scenes])
     est, stderr = kid_analog(feats[:250], feats[250:])
     assert abs(est) < 3 * max(stderr, 1e-12)
 
@@ -283,7 +283,7 @@ def test_criterion_7_training_effect_resampled_subset():
         maps = {}
         for omega in (0.0, 1.0):
             images = sample(model, caps, inters, steps=50, omega=omega, seed=99)
-            dets = [detect(img) for img in images]
+            dets = [detect(img)[0] for img in images]
             maps[omega] = detection_map(dets, gts).map_full
     # 60 conditions is a noisy estimate of the 500-condition gap; require a
     # clear majority of it rather than the full margin

@@ -147,8 +147,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
     # values that would fail later with a traceback (a zero step or batch,
     # no region layout for n_max instances, no room for a holding pair or a
     # second downsample) are rejected at load, naming the key
-    for key, value in (("log_every", 0), ("eval_batch", 0), ("n_max", 0), ("n_max", 5),
-                       ("image_size", 24), ("image_size", 30)):
+    for key, value in (("log_every", 0), ("eval_batch", 0), ("eval_count", 0), ("n_max", 0),
+                       ("n_max", 5), ("image_size", 24), ("image_size", 30)):
         path.write_text(f"{key} = {value}\n")
         capsys.readouterr()
         code = run(["gen-data", "--config", path, "--out", tmp_path / "d", "--count", 2])
@@ -172,6 +172,11 @@ def test_bad_config_exit_code(tmp_path, capsys):
         code = run(["train", "--config", path, "--data", tmp_path / "data",
                     "--out", tmp_path / "run"])
         assert code == 2, bad
+    # an eval over no image is rejected before anything is written
+    capsys.readouterr()
+    assert run(["eval", "--use-renders", "--data", tmp_path / "data", "--count", 0,
+                "--out", tmp_path / "o"]) == 2
+    assert "eval_count" in capsys.readouterr().err and not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +301,16 @@ def test_sample_sidecar_regenerates_its_image(mini, tmp_path):
     write_ppm(tmp_path / "again.ppm", img)
     again = (tmp_path / "again.ppm").read_bytes()
     assert again == (tmp_path / "s" / "sample_00002.ppm").read_bytes()
+    # a sidecar records its image's size, also when the model's image_size
+    # (8 px here) is not the condition's (32 px)
+    small = live_phase2_checkpoint(tmp_path / "p2.ckpt", ModelConfig(
+        image_size=8, base_channels=8, caption_len=12, init_seed=3))
+    assert run(["sample", "--config", cfg, "--ckpt", small, "--scene-json", scenes,
+                "--count", 1, "--out", tmp_path / "small"]) == 0
+    for sub, side in (("s", 32), ("small", 8)):
+        sidecar = json.loads((tmp_path / sub / "sample_00000.json").read_text())
+        assert read_ppm(tmp_path / sub / "sample_00000.ppm").shape == (3, side, side)
+        assert sidecar["size"] == side, sub
 
 
 def test_sample_omega_zero_matches_base_checkpoint(mini, tmp_path):
@@ -460,17 +475,20 @@ def test_eval_sweep_shares_gated_steps_and_equals_independent_sampling(mini, tmp
 
 
 def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
-    """A 3-omega sweep over 100 conditions runs the detector once per real
-    image, and its reports equal ones whose real-image features are detected
-    afresh for every omega.  The sampler is replaced by negated renders, so
-    generated and real images differ and the test needs no denoising."""
+    """A 3-omega sweep over 100 conditions scores each real image once, and
+    `eval --use-renders` over them scores each render once: every scored
+    image costs one `detect` call and one nearest-palette pass.  The sweep's
+    reports equal ones whose real-image features are detected afresh for
+    every omega.  The sampler is replaced by negated renders, so generated
+    and real images differ and the test needs no denoising."""
     data = tmp_path / "data"
     assert run(["gen-data", "--out", data, "--count", 100, "--seed", 4]) == 0
     pairs = cli._load_pairs(data)
     real = {img.tobytes() for _, img in pairs}
     monkeypatch.setattr(cli, "_sample_batched", lambda model, specs, cfg, omegas, seed:
                         ([[-img for _, img in pairs] for _ in omegas], None))
-    seen, detect = [], evaluation.detect
+    seen, palette = [], []
+    detect, distances = evaluation.detect, evaluation._palette_distances
 
     def counting_detect(img):
         seen.append(img.tobytes())
@@ -478,21 +496,29 @@ def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "detect", counting_detect)
     monkeypatch.setattr(evaluation, "detect", counting_detect)
+    monkeypatch.setattr(evaluation, "_palette_distances",
+                        lambda img: palette.append(None) or distances(img))
     out = tmp_path / "out"
     assert run(["eval", "--config", mini / "tiny.cfg", "--ckpt", mini / "run" / "phase2_final.ckpt",
                 "--data", data, "--count", 100, "--omega-sweep", "0,0.5,1", "--out", out]) == 0
     assert sorted(b for b in seen if b in real) == sorted(real)
-    assert len(seen) == 4 * 100
+    assert len(seen) == len(palette) == (3 + 1) * 100
+    seen.clear()
+    palette.clear()
+    assert run(["eval", "--use-renders", "--data", data, "--count", 100,
+                "--out", tmp_path / "renders"]) == 0
+    assert sorted(seen) == sorted(real) and len(palette) == 100
+    # both sides of the renders' KID are the same feature set
+    assert json.loads((tmp_path / "renders" / "report_renders.json").read_text())["kid"] == 0.0
     monkeypatch.undo()
 
     gts = [list(spec.interactions) for spec, _ in pairs]
-    feats_real = np.stack([evaluation.image_features(img) for _, img in pairs])
+    feats_real = np.stack([evaluation.detect(img)[1] for _, img in pairs])
     images = [-img for _, img in pairs]
-    dets = [evaluation.detect(img) for img in images]
-    feats_gen = np.stack([evaluation.image_features(img, d) for img, d in zip(images, dets)])
+    dets, feats_gen = zip(*(evaluation.detect(img) for img in images))
     for omega in (0.0, 0.5, 1.0):
-        report = evaluation.detection_map(dets, gts)
-        report.kid, kid_err = evaluation.kid_analog(feats_real, feats_gen)
+        report = evaluation.detection_map(list(dets), gts)
+        report.kid, kid_err = evaluation.kid_analog(feats_real, np.stack(feats_gen))
         report.config_echo["kid_stderr"] = kid_err
         report.config_echo.update(load_run_config(mini / "tiny.cfg", {"eval_count": 100}).to_dict())
         report.config_echo["omega"] = omega

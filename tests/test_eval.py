@@ -8,13 +8,19 @@ from interactdiff.evaluation import (
     DetectedInteraction,
     detect,
     detection_map,
-    image_features,
     kid_analog,
     mmd2_unbiased,
     polynomial_kernel,
 )
 from interactdiff.geometry import BoundingBox
-from interactdiff.scenes import BACKGROUND_COLOR, VOCAB, generate_scene, render
+from interactdiff.scenes import (
+    BACKGROUND_COLOR,
+    PALETTE,
+    STRIPE_COLOR,
+    VOCAB,
+    generate_scene,
+    render,
+)
 
 from oracles import mmd2_full_ustat
 
@@ -34,7 +40,7 @@ def as_set(instances):
 def test_detector_inverts_renderer():
     for seed in range(200):
         scene = generate_scene(seed)
-        dets = detect(render(scene))
+        dets, _ = detect(render(scene))
         assert len(dets) == len(scene.interactions)
         gt = {(i.s, i.a, i.o, tuple(i.b_s.as_list()), tuple(i.b_o.as_list()))
               for i in scene.interactions}
@@ -46,16 +52,39 @@ def test_detector_inverts_renderer():
 def test_detector_constant_background():
     bg = np.array(BACKGROUND_COLOR, dtype=np.float64) / 127.5 - 1.0
     img = np.tile(bg.reshape(3, 1, 1), (1, 32, 32))
-    assert detect(img) == []
+    dets, feats = detect(img)
+    assert dets == []
+    # every pixel is the background, the last palette colour; no boxes
+    assert feats.tolist() == [0.0] * 11 + [1.0] + [0.0] * 4
 
 
 def test_detector_noise_robustness():
     rng = np.random.default_rng(0)
     for _ in range(5):
         img = rng.uniform(-1, 1, size=(3, 32, 32))
-        dets = detect(img)  # must not crash
+        dets, _ = detect(img)  # must not crash
         for d in dets:
             assert 0 < d.confidence <= 1
+
+
+def test_detect_features_are_palette_shares_then_mean_box():
+    """`detect`'s feature vector is the share of pixels nearest each palette
+    colour (entities, stripe, background), then the mean cx, cy, w, h over
+    the detected subject boxes followed by the object boxes."""
+    colors = np.array([*PALETTE.values(), STRIPE_COLOR, BACKGROUND_COLOR]) / 127.5 - 1.0
+    rng = np.random.default_rng(1)
+    images = [render(generate_scene(seed)) for seed in range(20)]
+    images += [np.clip(img + rng.normal(0, 0.3, img.shape), -1, 1) for img in images[:10]]
+    for img in images:
+        dets, feats = detect(img)
+        pix = img.reshape(3, -1).T
+        nearest = np.argmin(((pix[:, None, :] - colors[None]) ** 2).sum(axis=2), axis=1)
+        boxes = [d.b_s for d in dets] + [d.b_o for d in dets]
+        stats = [np.mean([(b.x_min + b.x_max) / 2 for b in boxes]),
+                 np.mean([(b.y_min + b.y_max) / 2 for b in boxes]),
+                 np.mean([b.width for b in boxes]),
+                 np.mean([b.height for b in boxes])] if boxes else [0.0] * 4
+        assert feats.tolist() == [np.mean(nearest == c) for c in range(len(colors))] + stats
 
 
 def test_detection_confidence_degrades_with_noise():
@@ -63,8 +92,8 @@ def test_detection_confidence_degrades_with_noise():
     clean = render(scene)
     rng = np.random.default_rng(2)
     noisy = np.clip(clean + rng.normal(0, 0.35, clean.shape), -1, 1)
-    conf_clean = min((d.confidence for d in detect(clean)), default=0.0)
-    conf_noisy = min((d.confidence for d in detect(noisy)), default=0.0)
+    conf_clean = min((d.confidence for d in detect(clean)[0]), default=0.0)
+    conf_noisy = min((d.confidence for d in detect(noisy)[0]), default=0.0)
     assert conf_clean == 1.0
     assert conf_noisy <= conf_clean
 
@@ -221,7 +250,7 @@ def test_kid_too_few_samples():
 
 def test_kid_two_halves_of_real_data():
     scenes = [generate_scene(s) for s in range(240)]
-    feats = np.stack([image_features(render(s)) for s in scenes])
+    feats = np.stack([detect(render(s))[1] for s in scenes])
     est, stderr = kid_analog(feats[:120], feats[120:])
     assert abs(est) < 3 * max(stderr, 1e-12)
 
