@@ -3,12 +3,12 @@
 Subpackages:
   numerics  - tensor autodiff core, parameter store, checkpoints
   geometry  - bounding-box algebra and Fourier coordinate encodings
-  scenes    - synthetic interaction-scene generator, renderer, dataset I/O
+  scenes    - scene records, generator, renderer, oracle detector, dataset I/O
   intoken   - interaction tokenizer (labels + boxes -> one token block)
   inbedding - instance / role embeddings and padding
   informer  - transformer blocks with gated interaction self-attention
   diffusion - noise schedule, UNet denoiser, training loop, sampler
-  evaluation - oracle detector, mAP protocol, kernel-MMD metric
+  evaluation - mAP protocol, kernel-MMD metric
   cli       - command-line entry points
 """
 

@@ -25,11 +25,12 @@ from .diffusion import (
 )
 from .errors import ConfigError, DataError, InteractDiffError, NumericError
 from . import numerics as N
-from .evaluation import KID_MIN_SAMPLES, detect, detection_map, kid_analog
+from .evaluation import KID_MIN_SAMPLES, detection_map, kid_analog
 from .scenes import (
     VOCAB,
     SceneConfig,
     build_dataset,
+    detect,
     read_dataset,
     scene_records,
     write_dataset,
@@ -151,13 +152,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"steps must be in 1..{cfg.t_train}, got {cfg.steps}")
     if cfg.dtype not in ("float32", "float64"):
         raise ConfigError(f"dtype must be float32 or float64, got {cfg.dtype!r}")
-    for name in ("batch_size", "log_every", "eval_batch"):
+    for name in ("batch_size", "log_every", "eval_batch", "eval_count",
+                 "base_channels", "d_tok", "n_heads", "caption_len"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.train_scenes < 0:
-        raise ConfigError(f"train_scenes must be >= 0, got {cfg.train_scenes}")
-    if cfg.eval_count < 1:
-        raise ConfigError(f"eval_count must be >= 1, got {cfg.eval_count}")
+    for name in ("train_scenes", "save_every"):  # save_every = 0: no step checkpoints
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(cfg, name)}")
     if not 1 <= cfg.n_max <= 4:  # the instance counts scenes._regions lays out
         raise ConfigError(f"n_max must be in 1..4, got {cfg.n_max}")
     # two stride-2 downsamples; a holding subject (>= 10 px) must fit a
@@ -328,6 +329,8 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         raise ConfigError(f"bad --omega-sweep: {args.omega_sweep!r}") from exc
     if any(not 0.0 <= w <= 1.0 for w in omegas):
         raise ConfigError(f"--omega-sweep {args.omega_sweep!r}: every omega must be in [0,1]")
+    if args.ckpt is None and not args.use_renders:
+        raise ConfigError("eval needs --ckpt, or --use-renders to score the renders")
     tags = [f"omega{w:.2f}" for w in omegas]
     if not tags:
         raise ConfigError("--omega-sweep lists no omega")

@@ -48,9 +48,7 @@ class NoiseSchedule:
 
     def __post_init__(self):
         betas = np.linspace(self.beta_start, self.beta_end, self.t_train)
-        alphas = 1.0 - betas
-        self.betas = betas
-        self.alpha_bar = np.concatenate([[1.0], np.cumprod(alphas)])
+        self.alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
         if not np.all(np.diff(self.alpha_bar) < 0):
             raise ContractError("alpha-bar must be strictly decreasing")
 
@@ -354,6 +352,7 @@ def train_phase(
                     f"batch rng key ({tcfg.seed},{phase},{step})"
                 )
             loss.backward()
+            del loss  # this step's graph: free it before the next forward
             warm = min(1.0, step / max(tcfg.warmup_steps, 1))
             if phase == 1:
                 prog = min(1.0, max(0.0, (step - tcfg.warmup_steps)

@@ -1,9 +1,9 @@
-"""Oracle detection, detection-score (mAP) protocol and kernel-MMD metric.
+"""Detection-score (mAP) protocol and kernel-MMD metric.
 
-The detector inverts the renderer: nearest-palette classification per
-pixel, connected components per entity colour, boxes from component
-extents, and action labels from the scene module's relation predicates.
-On ground-truth renders it recovers the interaction set exactly.
+Both score what the oracle detector, `scenes.detect`, finds in an image:
+mAP matches its detections against the conditioning scene's instances,
+and the kernel-MMD metric (a KID analogue) compares its feature vectors
+across two image sets.
 """
 
 from __future__ import annotations
@@ -13,118 +13,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractError
-from .geometry import BoundingBox, iou
-from .scenes import (
-    BACKGROUND_COLOR,
-    PALETTE,
-    STRIPE_COLOR,
-    VOCAB,
-    classify_action_px,
-    rare_triplet_classes,
-)
-
-# ---------------------------------------------------------------------------
-# Detector
-# ---------------------------------------------------------------------------
-
-_ENTITY_LABELS = list(PALETTE)
-_ALL_COLORS = np.array(
-    [PALETTE[l] for l in _ENTITY_LABELS] + [STRIPE_COLOR, BACKGROUND_COLOR],
-    dtype=np.float64,
-) / 127.5 - 1.0  # same [-1, 1] space as rendered images
-
-
-COLOR_TOL = 0.55  # max RGB distance (in [-1,1] space) to count a pixel pure
-MIN_AREA = 4  # pixels in a component
-MIN_CONFIDENCE = 0.35  # share of a component's pixels that are pure
-
-# rows per side kid_analog needs; below it, eval reports KID as null
-KID_MIN_SAMPLES = 100
-
-
-@dataclass
-class DetectedInteraction:
-    s: int
-    a: int
-    o: int
-    b_s: BoundingBox
-    b_o: BoundingBox
-    confidence: float
-
-
-def _palette_distances(image: np.ndarray) -> np.ndarray:
-    """(HW, n_colours) squared RGB distances of a (3, H, W) image's pixels."""
-    pix = image.reshape(3, -1).T  # (HW, 3)
-    return ((pix[:, None, :] - _ALL_COLORS[None, :, :]) ** 2).sum(axis=2)
-
-
-def _find_entities(nearest: np.ndarray, near_dist: np.ndarray):
-    """Connected blobs of an (H, W) nearest-palette index map, with each
-    pixel's distance to its nearest colour -> (label_id, box_px, box,
-    confidence) candidates."""
-    h, w = nearest.shape
-    entities = []
-    for ci, label in enumerate(_ENTITY_LABELS):
-        mask = nearest == ci
-        if not mask.any():
-            continue
-        comp, n_comp = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-        for k in range(1, n_comp + 1):
-            rows, cols = np.nonzero(comp == k)
-            if rows.size < MIN_AREA:
-                continue
-            conf = float(np.mean(near_dist[rows, cols] <= COLOR_TOL))
-            if conf < MIN_CONFIDENCE:
-                continue
-            box_px = (int(cols.min()), int(rows.min()), int(cols.max()) + 1, int(rows.max()) + 1)
-            box = BoundingBox(box_px[0] / w, box_px[1] / h, box_px[2] / w, box_px[3] / h)
-            entities.append((VOCAB.id_of[label], box_px, box, conf))
-    return entities
-
-
-def detect(image: np.ndarray) -> tuple[list[DetectedInteraction], np.ndarray]:
-    """Recover interaction instances from a rendered or generated (3, H, W)
-    image, and its KID feature vector, from one nearest-palette pass.
-
-    The features are the share of pixels nearest each palette colour, then
-    the mean cx, cy, w, h over the detected subject and object boxes (zeros
-    when nothing is detected).
-    """
-    _, h, w = image.shape
-    d2 = _palette_distances(image)
-    nearest = d2.argmin(axis=1)
-    entities = _find_entities(nearest.reshape(h, w), np.sqrt(d2.min(axis=1)).reshape(h, w))
-    subjects = [e for e in entities if e[0] in VOCAB.subject_ids]
-    objects = [e for e in entities if e[0] in VOCAB.object_ids]
-    out = []
-    for s_id, s_px, s_box, s_conf in subjects:
-        for o_id, o_px, o_box, o_conf in objects:
-            action = classify_action_px(s_px, o_px)
-            if action is None:
-                continue
-            out.append(
-                DetectedInteraction(
-                    s=s_id,
-                    a=VOCAB.id_of[action],
-                    o=o_id,
-                    b_s=s_box,
-                    b_o=o_box,
-                    confidence=min(s_conf, o_conf),
-                )
-            )
-    fracs = np.bincount(nearest, minlength=_ALL_COLORS.shape[0]) / nearest.size
-    boxes = [d.b_s for d in out] + [d.b_o for d in out]
-    stats = np.zeros(4)
-    if boxes:
-        # one contiguous row per statistic: each sums as np.mean over a list
-        # does, where a mean over axis 0 of (n, 4) rounds differently
-        x0, y0, x1, y1 = np.array([b.as_list() for b in boxes]).T
-        stats = np.array([(x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0]).mean(axis=1)
-    return out, np.concatenate([fracs, stats])
-
+from .geometry import iou
+from .scenes import VOCAB, rare_triplet_classes
 
 # ---------------------------------------------------------------------------
 # Detection score (mAP)
@@ -185,13 +77,14 @@ MATCH_IOU = 0.5
 
 
 def detection_map(
-    detections_per_image: list[list[DetectedInteraction]],
+    detections_per_image: list[list],
     ground_truth_per_image: list,
 ) -> EvalReport:
     """HOI-style AP: a detection matches an unmatched ground truth with the
     same triplet class when both subject and object IoU reach MATCH_IOU.
 
-    ground_truth_per_image holds lists of InteractionInstance.
+    detections_per_image holds lists of scenes.DetectedInteraction,
+    ground_truth_per_image lists of scenes.InteractionInstance.
     """
     if len(detections_per_image) != len(ground_truth_per_image):
         raise ContractError(
@@ -254,6 +147,9 @@ def detection_map(
 # ---------------------------------------------------------------------------
 # Kernel-MMD image metric
 # ---------------------------------------------------------------------------
+
+# rows per side kid_analog needs; below it, eval reports KID as null
+KID_MIN_SAMPLES = 100
 
 
 def polynomial_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:

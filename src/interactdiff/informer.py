@@ -58,15 +58,13 @@ def grid_position_features(n_tokens: int, d_tok: int) -> np.ndarray:
     """Fixed sinusoidal position features for a row-major square token grid.
 
     Unit-amplitude so position stays legible next to O(1) activations; the
-    x/y coordinates each fill half the channels. Falls back to a 1-D layout
-    when n_tokens is not a perfect square.
+    x/y coordinates each fill half the channels.
     """
     side = int(round(math.sqrt(n_tokens)))
-    if side * side == n_tokens:
-        ys, xs = np.divmod(np.arange(n_tokens), side)
-        coords = [xs / max(side - 1, 1), ys / max(side - 1, 1)]
-    else:
-        coords = [np.arange(n_tokens) / max(n_tokens - 1, 1)]
+    if side * side != n_tokens:
+        raise ContractError(f"{n_tokens} tokens do not form a square grid")
+    ys, xs = np.divmod(np.arange(n_tokens), side)
+    coords = [xs / max(side - 1, 1), ys / max(side - 1, 1)]
     per = d_tok // len(coords)
     feats = np.zeros((n_tokens, d_tok))
     for ci, c in enumerate(coords):

@@ -7,34 +7,17 @@ text encoder exists at this scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, VocabularyError
-from .geometry import BoundingBox, between, fourier_embed
+from .geometry import BoundingBox, fourier_embed
 from .layers import Linear
 from . import numerics as N
 from .numerics import ParameterStore, Tensor
+from .scenes import VOCAB
 
 # store names of the tokenizer's parameters (checkpoints key on them)
 PREFIX = "inter.tok"
-
-
-@dataclass
-class InteractionInstance:
-    """One (subject, action, object) triplet with its three boxes."""
-
-    s: int
-    a: int
-    o: int
-    b_s: BoundingBox
-    b_a: BoundingBox
-    b_o: BoundingBox
-
-    def __post_init__(self):
-        if self.b_a != between(self.b_s, self.b_o):
-            raise ContractError("b_a does not equal between(b_s, b_o)")
 
 
 class InteractionTokenizer:
@@ -52,8 +35,6 @@ class InteractionTokenizer:
         n_freqs: int = 8,
         seed: int = 0,
     ):
-        from .scenes import VOCAB  # deferred: scenes imports this module
-
         self.n_freqs = n_freqs
         rng = np.random.default_rng(seed)
         self.label_embed = store.add(

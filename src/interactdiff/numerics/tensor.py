@@ -91,9 +91,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- tape ---------------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:

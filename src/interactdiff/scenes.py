@@ -1,4 +1,5 @@
-"""Procedural synthetic interaction scenes.
+"""Procedural synthetic interaction scenes: the scene records, the renderer
+that draws them, and the oracle detector that inverts the renderer.
 
 A scene is a set of (subject, action, object) instances with pixel-aligned
 boxes.  Every action label encodes a spatial relation between the subject
@@ -14,8 +15,10 @@ interaction set from the rendered image alone:
 
 All boxes are snapped to the pixel grid, shapes are rasterized so that the
 filled pixels span the exact box extents, and instances are laid out in
-separated regions.  Renders are therefore exactly invertible by the oracle
-detector.
+separated regions.  The detector classifies each pixel to its nearest
+palette colour, takes connected components per entity colour, boxes them by
+extent and labels subject/object pairs with the same relation bands the
+generator places by, so it recovers a render's interaction set exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import ContractError, DataError, GenerationError
 from .geometry import BoundingBox, between
@@ -133,7 +137,21 @@ def rare_triplet_classes() -> set[tuple[int, int, int]]:
 # Scene data
 # ---------------------------------------------------------------------------
 
-from .intoken import InteractionInstance  # noqa: E402  (no cycle: intoken -> geometry only)
+
+@dataclass
+class InteractionInstance:
+    """One (subject, action, object) triplet with its subject and object
+    boxes; the action box is derived from them."""
+
+    s: int
+    a: int
+    o: int
+    b_s: BoundingBox
+    b_o: BoundingBox
+
+    @property
+    def b_a(self) -> BoundingBox:
+        return between(self.b_s, self.b_o)
 
 
 @dataclass
@@ -173,21 +191,24 @@ class SceneSpec:
             if (type(size) is not int or not isinstance(captions, list)
                     or not isinstance(records, list)):
                 raise TypeError("size must be an integer, caption_ids and interactions lists")
-            insts = [
-                InteractionInstance(
-                    s=_label_id(rec["s"], VOCAB.subject_ids, "subject"),
-                    a=_label_id(rec["a"], VOCAB.action_ids, "action"),
-                    o=_label_id(rec["o"], VOCAB.object_ids, "object"),
-                    b_s=_box(rec["bs"]),
-                    b_a=_box(rec["ba"]),
-                    b_o=_box(rec["bo"]),
-                )
-                for rec in records
-            ]
+            insts = [_instance(rec) for rec in records]
             caption_ids = [_label_id(t, range(len(VOCAB)), "caption") for t in captions]
         except (KeyError, TypeError, ContractError) as exc:
             raise DataError(f"malformed scene record: {exc!r}") from exc
         return cls(image_size=size, interactions=insts, caption_ids=caption_ids)
+
+
+def _instance(rec) -> InteractionInstance:
+    inst = InteractionInstance(
+        s=_label_id(rec["s"], VOCAB.subject_ids, "subject"),
+        a=_label_id(rec["a"], VOCAB.action_ids, "action"),
+        o=_label_id(rec["o"], VOCAB.object_ids, "object"),
+        b_s=_box(rec["bs"]),
+        b_o=_box(rec["bo"]),
+    )
+    if _box(rec["ba"]) != inst.b_a:
+        raise DataError(f"ba {rec['ba']!r} is not between(bs, bo)")
+    return inst
 
 
 def _label_id(value, ids, role: str) -> int:
@@ -388,13 +409,8 @@ def _place_scene(rng, config: SceneConfig, triplets) -> SceneSpec:
             raise GenerationError(
                 f"could not place action {action!r} in region {region}"
             )
-        b_s = from_px(s_px, size)
-        b_o = from_px(o_px, size)
-        instances.append(
-            InteractionInstance(
-                s=s_id, a=a_id, o=o_id, b_s=b_s, b_a=between(b_s, b_o), b_o=b_o
-            )
-        )
+        instances.append(InteractionInstance(
+            s=s_id, a=a_id, o=o_id, b_s=from_px(s_px, size), b_o=from_px(o_px, size)))
     caption = VOCAB.caption_ids(instances)
     scene = SceneSpec(image_size=size, interactions=instances, caption_ids=caption)
     _validate_oracle_round_trip(scene)
@@ -403,8 +419,6 @@ def _place_scene(rng, config: SceneConfig, triplets) -> SceneSpec:
 
 def _validate_oracle_round_trip(scene: SceneSpec) -> None:
     """Reject layouts whose render the oracle cannot invert exactly."""
-    from .evaluation import detect  # deferred: evaluation imports this module
-
     truth = {
         (i.s, i.a, i.o, tuple(i.b_s.as_list()), tuple(i.b_o.as_list()))
         for i in scene.interactions
@@ -543,6 +557,100 @@ def render(scene: SceneSpec) -> np.ndarray:
         for shape, px_box, color in order:
             _fill_shape(img, shape, px_box, color)
     return img
+
+
+# ---------------------------------------------------------------------------
+# Oracle detector
+# ---------------------------------------------------------------------------
+
+_ENTITY_LABELS = list(PALETTE)
+_ALL_COLORS = _color_float(
+    [PALETTE[l] for l in _ENTITY_LABELS] + [STRIPE_COLOR, BACKGROUND_COLOR])
+
+COLOR_TOL = 0.55  # max RGB distance (in [-1,1] space) to count a pixel pure
+MIN_AREA = 4  # pixels in a component
+MIN_CONFIDENCE = 0.35  # share of a component's pixels that are pure
+
+
+@dataclass
+class DetectedInteraction:
+    s: int
+    a: int
+    o: int
+    b_s: BoundingBox
+    b_o: BoundingBox
+    confidence: float
+
+
+def _palette_distances(image: np.ndarray) -> np.ndarray:
+    """(HW, n_colours) squared RGB distances of a (3, H, W) image's pixels."""
+    pix = image.reshape(3, -1).T  # (HW, 3)
+    return ((pix[:, None, :] - _ALL_COLORS[None, :, :]) ** 2).sum(axis=2)
+
+
+def _find_entities(nearest: np.ndarray, near_dist: np.ndarray):
+    """Connected blobs of an (H, W) nearest-palette index map, with each
+    pixel's distance to its nearest colour -> (label_id, box_px, box,
+    confidence) candidates."""
+    h, w = nearest.shape
+    entities = []
+    for ci, label in enumerate(_ENTITY_LABELS):
+        mask = nearest == ci
+        if not mask.any():
+            continue
+        comp, n_comp = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        for k in range(1, n_comp + 1):
+            rows, cols = np.nonzero(comp == k)
+            if rows.size < MIN_AREA:
+                continue
+            conf = float(np.mean(near_dist[rows, cols] <= COLOR_TOL))
+            if conf < MIN_CONFIDENCE:
+                continue
+            box_px = (int(cols.min()), int(rows.min()), int(cols.max()) + 1, int(rows.max()) + 1)
+            box = BoundingBox(box_px[0] / w, box_px[1] / h, box_px[2] / w, box_px[3] / h)
+            entities.append((VOCAB.id_of[label], box_px, box, conf))
+    return entities
+
+
+def detect(image: np.ndarray) -> tuple[list[DetectedInteraction], np.ndarray]:
+    """Recover interaction instances from a rendered or generated (3, H, W)
+    image, and its KID feature vector, from one nearest-palette pass.
+
+    The features are the share of pixels nearest each palette colour, then
+    the mean cx, cy, w, h over the detected subject and object boxes (zeros
+    when nothing is detected).
+    """
+    _, h, w = image.shape
+    d2 = _palette_distances(image)
+    nearest = d2.argmin(axis=1)
+    entities = _find_entities(nearest.reshape(h, w), np.sqrt(d2.min(axis=1)).reshape(h, w))
+    subjects = [e for e in entities if e[0] in VOCAB.subject_ids]
+    objects = [e for e in entities if e[0] in VOCAB.object_ids]
+    out = []
+    for s_id, s_px, s_box, s_conf in subjects:
+        for o_id, o_px, o_box, o_conf in objects:
+            action = classify_action_px(s_px, o_px)
+            if action is None:
+                continue
+            out.append(
+                DetectedInteraction(
+                    s=s_id,
+                    a=VOCAB.id_of[action],
+                    o=o_id,
+                    b_s=s_box,
+                    b_o=o_box,
+                    confidence=min(s_conf, o_conf),
+                )
+            )
+    fracs = np.bincount(nearest, minlength=_ALL_COLORS.shape[0]) / nearest.size
+    boxes = [d.b_s for d in out] + [d.b_o for d in out]
+    stats = np.zeros(4)
+    if boxes:
+        # one contiguous row per statistic: each sums as np.mean over a list
+        # does, where a mean over axis 0 of (n, 4) rounds differently
+        x0, y0, x1, y1 = np.array([b.as_list() for b in boxes]).T
+        stats = np.array([(x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0]).mean(axis=1)
+    return out, np.concatenate([fracs, stats])
 
 
 # ---------------------------------------------------------------------------

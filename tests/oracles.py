@@ -178,7 +178,8 @@ def corrupt_checkpoint(data: bytes, fault: str) -> bytes:
 
 
 # malformed scene records: each names a change to a well-formed record
-SCENE_FAULTS = ("no-interactions", "caption-999", "box-string", "subject-is-action")
+SCENE_FAULTS = ("no-interactions", "caption-999", "box-string", "subject-is-action",
+                "ba-not-between")
 
 
 def corrupt_scene_record(obj: dict, fault: str) -> dict:
@@ -192,6 +193,8 @@ def corrupt_scene_record(obj: dict, fault: str) -> dict:
         obj["interactions"][0]["bs"] = "abcd"
     elif fault == "subject-is-action":
         obj["interactions"][0]["s"] = 9  # "pushing"
+    elif fault == "ba-not-between":
+        obj["interactions"][0]["ba"] = obj["interactions"][0]["bs"]
     else:
         raise ValueError(f"unknown fault {fault!r}")
     return obj

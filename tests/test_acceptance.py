@@ -22,13 +22,13 @@ from interactdiff.diffusion import (
     make_batch,
     sample,
 )
-from interactdiff.evaluation import detect, detection_map, kid_analog
+from interactdiff.evaluation import detection_map, kid_analog
 from interactdiff.geometry import BoundingBox, between
 from interactdiff.inbedding import InteractionEmbeddings
 from interactdiff.intoken import InteractionTokenizer
 from interactdiff import numerics as N
 from interactdiff.numerics import ParameterStore, Tensor, load_checkpoint, save_checkpoint
-from interactdiff.scenes import VOCAB, build_dataset, generate_scene, render
+from interactdiff.scenes import VOCAB, build_dataset, detect, generate_scene, render
 
 from oracles import between_bruteforce, bounding_hull, check_gradients, random_tokens, token_block
 from test_numerics import FD_CASES, _rand

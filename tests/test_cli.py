@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from interactdiff import cli, diffusion, evaluation
+from interactdiff import cli, diffusion, evaluation, scenes
 from interactdiff import numerics as N
 from interactdiff.cli import RunConfig, build_parser, load_run_config, main
 from interactdiff.diffusion import InteractionDiffusionModel, ModelConfig, TrainConfig
@@ -144,11 +144,14 @@ def test_bad_config_exit_code(tmp_path, capsys):
     path.write_text("omega = 2.0\n")
     code = run(["gen-data", "--config", path, "--out", tmp_path / "d"])
     assert code == 2
-    # values that would fail later with a traceback (a zero step or batch,
-    # no region layout for n_max instances, no room for a holding pair or a
-    # second downsample) are rejected at load, naming the key
+    # values that would fail later with a traceback (a zero step, batch or
+    # layer width, no region layout for n_max instances, no room for a holding
+    # pair or a second downsample) or be silently misread (a negative
+    # save_every checkpoints every step) are rejected at load, naming the key
     for key, value in (("log_every", 0), ("eval_batch", 0), ("eval_count", 0), ("n_max", 0),
-                       ("n_max", 5), ("image_size", 24), ("image_size", 30)):
+                       ("n_max", 5), ("image_size", 24), ("image_size", 30),
+                       ("caption_len", 0), ("n_heads", 0), ("base_channels", 0), ("d_tok", 0),
+                       ("save_every", -1)):
         path.write_text(f"{key} = {value}\n")
         capsys.readouterr()
         code = run(["gen-data", "--config", path, "--out", tmp_path / "d", "--count", 2])
@@ -419,17 +422,20 @@ def test_eval_sweep_rows(mini, tmp_path):
         assert (out / f"report_omega{w}.json").exists()
 
 
-@pytest.mark.parametrize("grid", [",", "0.5,0.5", "0.5,0.501", "abc", "1.5"],
-                         ids=["empty", "repeated", "same-tag", "not-a-number", "above-1"])
+@pytest.mark.parametrize("grid", [",", "0.5,0.5", "0.5,0.501", "abc", "1.5", None],
+                         ids=["empty", "repeated", "same-tag", "not-a-number", "above-1",
+                              "no-ckpt"])
 def test_eval_rejects_sweep_that_writes_nothing_or_overwrites(mini, tmp_path, capsys, grid):
     """A report is named by its omega at two decimals: a sweep with no omega,
     with two omegas of one name or with one that is no omega in [0, 1] is a
-    config error, found before the run reads data or writes anything."""
+    config error, found before the run reads data or writes anything.  So is
+    an eval with neither a checkpoint to sample (grid None) nor --use-renders."""
     out = tmp_path / "sweep"
-    assert run(["eval", "--config", mini / "tiny.cfg",
-                "--ckpt", mini / "run" / "phase2_final.ckpt", "--data", mini / "data",
-                "--count", 2, "--omega-sweep", grid, "--out", out]) == 2
-    assert "--omega-sweep" in capsys.readouterr().err
+    model = [] if grid is None else ["--ckpt", mini / "run" / "phase2_final.ckpt",
+                                     "--omega-sweep", grid]
+    assert run(["eval", "--config", mini / "tiny.cfg", *model, "--data", mini / "data",
+                "--count", 2, "--out", out]) == 2
+    assert ("--ckpt" if grid is None else "--omega-sweep") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -488,15 +494,14 @@ def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_sample_batched", lambda model, specs, cfg, omegas, seed:
                         ([[-img for _, img in pairs] for _ in omegas], None))
     seen, palette = [], []
-    detect, distances = evaluation.detect, evaluation._palette_distances
+    detect, distances = scenes.detect, scenes._palette_distances
 
     def counting_detect(img):
         seen.append(img.tobytes())
         return detect(img)
 
     monkeypatch.setattr(cli, "detect", counting_detect)
-    monkeypatch.setattr(evaluation, "detect", counting_detect)
-    monkeypatch.setattr(evaluation, "_palette_distances",
+    monkeypatch.setattr(scenes, "_palette_distances",
                         lambda img: palette.append(None) or distances(img))
     out = tmp_path / "out"
     assert run(["eval", "--config", mini / "tiny.cfg", "--ckpt", mini / "run" / "phase2_final.ckpt",
@@ -513,9 +518,9 @@ def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
     monkeypatch.undo()
 
     gts = [list(spec.interactions) for spec, _ in pairs]
-    feats_real = np.stack([evaluation.detect(img)[1] for _, img in pairs])
+    feats_real = np.stack([scenes.detect(img)[1] for _, img in pairs])
     images = [-img for _, img in pairs]
-    dets, feats_gen = zip(*(evaluation.detect(img) for img in images))
+    dets, feats_gen = zip(*(scenes.detect(img) for img in images))
     for omega in (0.0, 0.5, 1.0):
         report = evaluation.detection_map(list(dets), gts)
         report.kid, kid_err = evaluation.kid_analog(feats_real, np.stack(feats_gen))

@@ -5,10 +5,12 @@ the full-size behavior is exercised by the acceptance suite.
 """
 
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from interactdiff import diffusion
 from interactdiff.diffusion import (
     InteractionDiffusionModel,
     ModelConfig,
@@ -21,13 +23,12 @@ from interactdiff.diffusion import (
     train_phase,
 )
 from interactdiff.errors import ContractError
-from interactdiff.geometry import BoundingBox, between
-from interactdiff.intoken import InteractionInstance
+from interactdiff.geometry import BoundingBox
 from interactdiff import numerics as N
 from interactdiff.numerics import Tensor, tensor
 
 from oracles import live_phase2_checkpoint
-from interactdiff.scenes import VOCAB, SceneSpec
+from interactdiff.scenes import VOCAB, InteractionInstance, SceneSpec
 
 TINY = ModelConfig(image_size=8, base_channels=8, caption_len=12, init_seed=3)
 
@@ -43,7 +44,6 @@ def tiny_dataset(n=12, seed=0):
             a=VOCAB.action_ids[rng.integers(5)],
             o=VOCAB.object_ids[rng.integers(6)],
             b_s=b_s,
-            b_a=between(b_s, b_o),
             b_o=b_o,
         )
         spec = SceneSpec(
@@ -297,6 +297,26 @@ def test_metrics_csv_schema(tmp_path):
     steps = [int(row.split(",")[0]) for row in lines[1:]]
     assert steps == sorted(steps) and len(set(steps)) == len(steps)
     assert all(row.split(",")[1] == "1" for row in lines[1:])
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_training_frees_each_step_graph_before_the_next(tmp_path, monkeypatch, phase):
+    """When a step's forward starts, nothing holds the previous step's graph:
+    an intermediate array of it is already freed, so two steps' activations
+    and gradients never coexist."""
+    refs, alive = [], []
+
+    def watched_loss_step(model, batch, rng):
+        if refs:
+            alive.append(refs[-1]() is not None)
+        loss = loss_step(model, batch, rng)
+        refs.append(weakref.ref(loss._parents[0].data))  # the squared error
+        return loss
+
+    monkeypatch.setattr(diffusion, "loss_step", watched_loss_step)
+    train_phase(InteractionDiffusionModel(TINY), tiny_dataset(), tiny_train_config(),
+                phase=phase, out_dir=tmp_path)
+    assert alive == [False, False]
 
 
 def _graph_ops(loss) -> dict:

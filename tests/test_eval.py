@@ -4,20 +4,15 @@ import numpy as np
 import pytest
 
 from interactdiff.errors import ContractError
-from interactdiff.evaluation import (
-    DetectedInteraction,
-    detect,
-    detection_map,
-    kid_analog,
-    mmd2_unbiased,
-    polynomial_kernel,
-)
+from interactdiff.evaluation import detection_map, kid_analog, mmd2_unbiased, polynomial_kernel
 from interactdiff.geometry import BoundingBox
 from interactdiff.scenes import (
     BACKGROUND_COLOR,
     PALETTE,
     STRIPE_COLOR,
     VOCAB,
+    DetectedInteraction,
+    detect,
     generate_scene,
     render,
 )

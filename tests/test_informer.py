@@ -187,6 +187,12 @@ def test_mask_mismatch_raises():
         block(v, cap, cap_mask, toks, mask, eta=2)
 
 
+def test_non_square_token_grid_raises():
+    """Visual tokens are a square grid, (image_size / 2)^2 or (image_size / 4)^2."""
+    with pytest.raises(ContractError):
+        InformerBlock(ParameterStore(), "grid", 12, D, HEADS, np.random.default_rng(0))
+
+
 def test_gate_gradient_flows_only_when_active():
     store, block, emb = make_block()
     rng = np.random.default_rng(8)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from interactdiff.errors import ContractError, VocabularyError
-from interactdiff.geometry import BoundingBox, between
-from interactdiff.intoken import InteractionInstance, InteractionTokenizer
+from interactdiff.geometry import BoundingBox
+from interactdiff.intoken import InteractionTokenizer
 from interactdiff.numerics import ParameterStore, Tensor
-from interactdiff.scenes import VOCAB
+from interactdiff.scenes import VOCAB, InteractionInstance
 
 D_TOK = 64
 
@@ -37,16 +37,8 @@ def make_instance(rng, s=None, a=None, o=None):
         a=a if a is not None else VOCAB.action_ids[rng.integers(5)],
         o=o if o is not None else VOCAB.object_ids[rng.integers(6)],
         b_s=b_s,
-        b_a=between(b_s, b_o),
         b_o=b_o,
     )
-
-
-def test_instance_requires_consistent_action_box():
-    rng = np.random.default_rng(0)
-    inst = make_instance(rng)
-    with pytest.raises(ContractError):
-        InteractionInstance(inst.s, inst.a, inst.o, inst.b_s, inst.b_s, inst.b_o)
 
 
 def test_zero_weights_give_zero_tokens():
@@ -85,10 +77,7 @@ def test_identical_label_box_identical_tokens():
     rng = np.random.default_rng(3)
     inst = make_instance(rng)
     # subject token depends only on (label, box): reuse them as an object pair
-    same = InteractionInstance(
-        s=inst.s, a=inst.a, o=inst.s, b_s=inst.b_s,
-        b_a=between(inst.b_s, inst.b_s), b_o=inst.b_s,
-    )
+    same = InteractionInstance(s=inst.s, a=inst.a, o=inst.s, b_s=inst.b_s, b_o=inst.b_s)
     h_s, _, h_o = rows(tok, same)
     assert np.allclose(h_s, h_o, atol=1e-12)
 
@@ -97,10 +86,7 @@ def test_swapping_subject_object_swaps_tokens():
     store, tok = make_tokenizer()
     rng = np.random.default_rng(4)
     inst = make_instance(rng)
-    swapped = InteractionInstance(
-        s=inst.o, a=inst.a, o=inst.s, b_s=inst.b_o,
-        b_a=between(inst.b_o, inst.b_s), b_o=inst.b_s,
-    )
+    swapped = InteractionInstance(s=inst.o, a=inst.a, o=inst.s, b_s=inst.b_o, b_o=inst.b_s)
     (s1, a1, o1), (s2, a2, o2) = rows(tok, inst), rows(tok, swapped)
     assert np.allclose(s1, o2, atol=1e-12)
     assert np.allclose(o1, s2, atol=1e-12)
@@ -116,7 +102,7 @@ def test_object_and_action_paths_differ():
     inst = make_instance(rng)
     table = store["inter.tok.label_embed"].data
     table[inst.a] = table[inst.s]
-    same_box = InteractionInstance(inst.s, inst.a, inst.o, inst.b_s, inst.b_s, inst.b_s)
+    same_box = InteractionInstance(inst.s, inst.a, inst.o, inst.b_s, inst.b_s)
     h_s, h_a, _ = rows(tok, same_box)
     assert not np.allclose(h_s, h_a)
 
@@ -125,9 +111,7 @@ def test_unknown_label_raises():
     store, tok = make_tokenizer()
     rng = np.random.default_rng(6)
     inst = make_instance(rng)
-    bad = InteractionInstance(
-        s=len(VOCAB) + 5, a=inst.a, o=inst.o, b_s=inst.b_s, b_a=inst.b_a, b_o=inst.b_o
-    )
+    bad = InteractionInstance(s=len(VOCAB) + 5, a=inst.a, o=inst.o, b_s=inst.b_s, b_o=inst.b_o)
     with pytest.raises(VocabularyError):
         tok.tokenize_instances([inst, bad])
     with pytest.raises(ContractError):

@@ -32,3 +32,58 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not found, found
+
+
+def package_imports(path: Path) -> list[tuple[str, int, bool]]:
+    """(module, line, at top) of each `interactdiff` import in the module at
+    `path`, the module in dotted form.  An import is at the top when only
+    imports and the docstring come before it."""
+    package = path.relative_to(SRC).parts[:-1]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = set()
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            top.add(id(node))
+        elif not (i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+            break
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            base = ".".join(package[: len(package) - node.level + 1])
+            # `from . import numerics` imports a module by its name
+            targets = [f"{base}.{a.name}" for a in node.names] if node.module is None \
+                else [f"{base}.{node.module}"]
+        elif isinstance(node, ast.ImportFrom):
+            targets = [node.module]
+        else:
+            continue
+        found += [(t, node.lineno, id(node) in top) for t in targets
+                  if t.split(".")[0] == "interactdiff"]
+    return found
+
+
+def test_package_imports_are_at_module_top_and_acyclic():
+    """Every `interactdiff` import in src/ sits at the top of its module, and
+    the package's modules import one another without a cycle."""
+    graph, misplaced = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        name = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        imports = package_imports(path)
+        graph[name] = sorted({target for target, _, _ in imports})
+        misplaced += [f"{path.relative_to(SRC)}:{line}" for _, line, top in imports if not top]
+    assert not misplaced, misplaced
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, "import cycle: " + " -> ".join(path[path.index(name):] + [name])
+        if name not in done:
+            path.append(name)
+            for target in graph.get(name, ()):
+                visit(target)
+            path.pop()
+            done.add(name)
+
+    for name in graph:
+        visit(name)
