@@ -46,41 +46,18 @@ SCHEMA_VERSION = 1
 
 
 @dataclass
-class RunConfig:
-    """Every tunable in one flat, typed namespace.
+class RunConfig(ModelConfig, TrainConfig):
+    """Every tunable in one flat, typed namespace: the fields of ModelConfig
+    (and its SceneConfig) and TrainConfig, and the run's own below.
 
     Values come from defaults, then a `key = value` config file, then CLI
-    flags, in increasing priority. Unknown file keys are rejected.
+    flags, in increasing priority. Unknown keys are rejected.
     """
 
     # dataset
     train_scenes: int = 8000
     data_seed: int = 0
-    image_size: int = 32
-    n_max: int = 4
-    # model
-    base_channels: int = 16
-    d_tok: int = 64
-    n_heads: int = 4
-    time_dim: int = 64
-    caption_len: int = 24
-    d_text: int = 64
-    n_freqs: int = 8
-    init_seed: int = 0
-    # schedule
-    t_train: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 2e-2
-    # training
-    steps_phase1: int = 6000
-    steps_phase2: int = 6000
-    batch_size: int = 16
-    lr: float = 1e-3
-    warmup_steps: int = 200
-    caption_dropout: float = 0.1
-    train_seed: int = 0
-    save_every: int = 2000
-    log_every: int = 25
+    # training and sampling precision
     dtype: str = "float32"
     # sampling
     omega: float = 0.8
@@ -93,20 +70,18 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def _part(self, cls):
+        """A plain `cls`, one of RunConfig's bases, with this run's values."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def model_config(self) -> ModelConfig:
-        return _by_name(ModelConfig, self.to_dict())
+        return self._part(ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        return _by_name(TrainConfig, dict(self.to_dict(), seed=self.train_seed))
+        return self._part(TrainConfig)
 
     def scene_config(self) -> SceneConfig:
-        return SceneConfig(image_size=self.image_size, n_max=self.n_max)
-
-
-def _by_name(cls, values: dict):
-    """Build dataclass `cls` from the entries of `values` named like its
-    fields; the fields without an entry keep their defaults."""
-    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+        return self._part(SceneConfig)
 
 
 def _parse_value(raw: str, typ):
@@ -138,7 +113,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if not hasattr(cfg, key):
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
     _validate(cfg)
@@ -153,12 +128,20 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.dtype not in ("float32", "float64"):
         raise ConfigError(f"dtype must be float32 or float64, got {cfg.dtype!r}")
     for name in ("batch_size", "log_every", "eval_batch", "eval_count",
-                 "base_channels", "d_tok", "n_heads", "caption_len"):
+                 "base_channels", "d_tok", "n_heads", "caption_len", "d_text", "n_freqs"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    for name in ("train_scenes", "save_every"):  # save_every = 0: no step checkpoints
+    # save_every = 0: no step checkpoints
+    for name in ("train_scenes", "save_every", "steps_phase1", "steps_phase2", "warmup_steps",
+                 "data_seed", "init_seed", "train_seed", "sample_seed"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got {getattr(cfg, name)}")
+    if cfg.time_dim < 2 or cfg.time_dim % 2:  # a sin half and a cos half
+        raise ConfigError(f"time_dim must be even and >= 2, got {cfg.time_dim}")
+    if not 0.0 <= cfg.caption_dropout <= 1.0:
+        raise ConfigError(f"caption_dropout must be in [0,1], got {cfg.caption_dropout}")
+    if not cfg.lr > 0.0:
+        raise ConfigError(f"lr must be > 0, got {cfg.lr}")
     if not 1 <= cfg.n_max <= 4:  # the instance counts scenes._regions lays out
         raise ConfigError(f"n_max must be in 1..4, got {cfg.n_max}")
     # two stride-2 downsamples; a holding subject (>= 10 px) must fit a
@@ -305,9 +288,8 @@ def _report(scores, specs, feats_real):
     against the real images' `feats_real` (None: no KID)."""
     report = detection_map([dets for dets, _ in scores], [list(s.interactions) for s in specs])
     if feats_real is not None:
-        kid, kid_err = kid_analog(feats_real, np.stack([feats for _, feats in scores]))
-        report.kid = kid
-        report.config_echo["kid_stderr"] = kid_err
+        report.kid, report.kid_stderr = kid_analog(
+            feats_real, np.stack([feats for _, feats in scores]))
     return report
 
 
@@ -413,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--scene-json", required=True)
-    p.add_argument("--omega", type=float, default=None)  # config default 0.8
-    p.add_argument("--steps", type=int, default=None)  # config default 50
+    p.add_argument("--omega", type=float, default=None)
+    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--out", required=True)

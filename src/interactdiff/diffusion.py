@@ -30,7 +30,7 @@ from .numerics import (
     load_checkpoint,
     save_checkpoint,
 )
-from .scenes import VOCAB
+from .scenes import VOCAB, SceneConfig
 
 # ---------------------------------------------------------------------------
 # Noise schedule
@@ -42,9 +42,9 @@ class NoiseSchedule:
     """Linear-beta DDPM forward process; alpha-bar indexed 0..T with
     alpha_bar[0] = 1 (clean image)."""
 
-    t_train: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 2e-2
+    t_train: int
+    beta_start: float
+    beta_end: float
 
     def __post_init__(self):
         betas = np.linspace(self.beta_start, self.beta_end, self.t_train)
@@ -74,14 +74,12 @@ def time_features(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 @dataclass
-class ModelConfig:
-    image_size: int = 32
+class ModelConfig(SceneConfig):
     base_channels: int = 16
     d_tok: int = 64
     n_heads: int = 4
     time_dim: int = 64
     caption_len: int = 24
-    n_max: int = 4
     d_text: int = 64
     n_freqs: int = 8
     t_train: int = 1000
@@ -159,15 +157,9 @@ class InteractionDiffusionModel:
         self.gn_out = GroupNorm(s, "base.gn_out", cb)
         self.conv_out = Conv2d(s, "base.conv_out", cb, 3, zero_init=True)
         self.tokenizer = InteractionTokenizer(
-            s,
-            d_text=config.d_text,
-            d_tok=config.d_tok,
-            n_freqs=config.n_freqs,
-            seed=config.init_seed + 1,
-        )
+            s, config.d_text, config.d_tok, config.n_freqs, seed=config.init_seed + 1)
         self.embedder = InteractionEmbeddings(
-            s, n_max=config.n_max, d_tok=config.d_tok, seed=config.init_seed + 2,
-        )
+            s, config.n_max, config.d_tok, seed=config.init_seed + 2)
 
     # -- conditioning -------------------------------------------------------
 
@@ -248,7 +240,7 @@ class TrainConfig:
     lr: float = 1e-3
     warmup_steps: int = 200
     caption_dropout: float = 0.1
-    seed: int = 0
+    train_seed: int = 0
     save_every: int = 2000
     log_every: int = 25
 
@@ -312,7 +304,7 @@ def train_phase(
 ) -> str:
     """Run one training phase; returns the final checkpoint path.
 
-    Per-step RNG is derived from (seed, phase, step), so resuming from a
+    Per-step RNG is derived from (train_seed, phase, step), so resuming from a
     checkpoint reproduces an uninterrupted run bit-exactly.
     """
     if phase == 1:
@@ -340,7 +332,7 @@ def train_phase(
     try:
         model.store.zero_grad()
         for step in range(start_step + 1, steps + 1):
-            rng = _step_rng(tcfg.seed, phase, step)
+            rng = _step_rng(tcfg.train_seed, phase, step)
             batch = make_batch(
                 dataset, rng, tcfg.batch_size, tcfg.caption_dropout, with_inter
             )
@@ -349,7 +341,7 @@ def train_phase(
             if not np.isfinite(loss_val):
                 raise NumericError(
                     f"non-finite loss at phase {phase} step {step}; "
-                    f"batch rng key ({tcfg.seed},{phase},{step})"
+                    f"batch rng key ({tcfg.train_seed},{phase},{step})"
                 )
             loss.backward()
             del loss  # this step's graph: free it before the next forward
@@ -388,9 +380,10 @@ def sample(
     model: InteractionDiffusionModel,
     caption_ids: list[list[int]],
     interactions=None,
-    steps: int = 50,
-    omega: float = 0.8,
-    seed: int = 0,
+    *,
+    steps: int,
+    omega: float,
+    seed: int,
     trunk: list | None = None,
 ) -> np.ndarray:
     """Deterministic (variance-zero) reverse diffusion; returns images

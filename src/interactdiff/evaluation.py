@@ -29,6 +29,7 @@ class EvalReport:
     map_rare: float
     per_class_ap: dict
     kid: float | None
+    kid_stderr: float | None
     sample_count: int
     config_echo: dict = field(default_factory=dict)
 
@@ -37,6 +38,7 @@ class EvalReport:
             "map_full": self.map_full,
             "map_rare": self.map_rare,
             "kid": self.kid,
+            "kid_stderr": self.kid_stderr,
             "sample_count": self.sample_count,
             "config": self.config_echo,
             "per_class_ap": {"/".join(map(str, k)): v for k, v in self.per_class_ap.items()},
@@ -140,6 +142,7 @@ def detection_map(
         map_rare=map_rare,
         per_class_ap=per_class_ap,
         kid=None,
+        kid_stderr=None,
         sample_count=len(detections_per_image),
     )
 

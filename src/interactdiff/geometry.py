@@ -63,7 +63,7 @@ def between(subject: BoundingBox, object_: BoundingBox) -> BoundingBox:
     return BoundingBox(xs[1], ys[1], xs[2], ys[2])
 
 
-def fourier_embed(box: BoundingBox, n_freqs: int = 8) -> np.ndarray:
+def fourier_embed(box: BoundingBox, n_freqs: int) -> np.ndarray:
     """Sin/cos features at frequencies 2^k * pi for each of the 4 coordinates.
 
     Output length 4 * 2 * n_freqs; coordinate order (x_min, y_min, x_max,

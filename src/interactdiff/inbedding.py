@@ -18,13 +18,7 @@ PREFIX = "inter.embed"
 
 
 class InteractionEmbeddings:
-    def __init__(
-        self,
-        store: ParameterStore,
-        n_max: int = 4,
-        d_tok: int = 64,
-        seed: int = 0,
-    ):
+    def __init__(self, store: ParameterStore, n_max: int, d_tok: int, seed: int):
         self.n_max = n_max
         rng = np.random.default_rng(seed)
         self.instance = store.add(f"{PREFIX}.instance", Tensor(rng.normal(0.0, 0.02, size=(n_max, d_tok))))

@@ -27,14 +27,7 @@ class InteractionTokenizer:
     they ride along in checkpoints and can be frozen/unfrozen as a group.
     """
 
-    def __init__(
-        self,
-        store: ParameterStore,
-        d_text: int = 64,
-        d_tok: int = 64,
-        n_freqs: int = 8,
-        seed: int = 0,
-    ):
+    def __init__(self, store: ParameterStore, d_text: int, d_tok: int, n_freqs: int, seed: int):
         self.n_freqs = n_freqs
         rng = np.random.default_rng(seed)
         self.label_embed = store.add(

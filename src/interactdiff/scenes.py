@@ -391,6 +391,17 @@ def _place_pair(rng, region, action: str):
 
 
 def _place_scene(rng, config: SceneConfig, triplets) -> SceneSpec:
+    """Lay out `triplets` as one scene, drawing a new layout from `rng` after
+    each failed one, up to PLACEMENT_RETRIES layouts."""
+    for _ in range(PLACEMENT_RETRIES - 1):
+        try:
+            return _layout_scene(rng, config, triplets)
+        except GenerationError:
+            pass
+    return _layout_scene(rng, config, triplets)
+
+
+def _layout_scene(rng, config: SceneConfig, triplets) -> SceneSpec:
     size = config.image_size
     regions = _regions(size, len(triplets))
     order = rng.permutation(len(regions))
@@ -444,13 +455,7 @@ def generate_scene(rng_seed: int, config: SceneConfig | None = None) -> SceneSpe
         )
         for _ in range(n)
     ]
-    for attempt in range(PLACEMENT_RETRIES):
-        try:
-            return _place_scene(rng, config, triplets)
-        except GenerationError:
-            if attempt == PLACEMENT_RETRIES - 1:
-                raise
-    raise GenerationError("unreachable")
+    return _place_scene(rng, config, triplets)
 
 
 def build_dataset(count: int, seed: int, config: SceneConfig | None = None) -> list[SceneSpec]:
@@ -483,13 +488,7 @@ def build_dataset(count: int, seed: int, config: SceneConfig | None = None) -> l
     for n in per_scene:
         triplets = schedule[pos : pos + n]
         pos += n
-        for attempt in range(PLACEMENT_RETRIES):
-            try:
-                scenes.append(_place_scene(rng, config, triplets))
-                break
-            except GenerationError:
-                if attempt == PLACEMENT_RETRIES - 1:
-                    raise
+        scenes.append(_place_scene(rng, config, triplets))
     return scenes
 
 

@@ -354,7 +354,7 @@ def test_criterion_9_training_resume_bit_exact(tmp_path):
     from interactdiff.diffusion import TrainConfig, train_phase
 
     ds = [(s, render(s)) for s in (generate_scene(i) for i in range(8))]
-    cfg = dict(batch_size=2, warmup_steps=2, save_every=0, log_every=1, seed=8,
+    cfg = dict(batch_size=2, warmup_steps=2, save_every=0, log_every=1, train_seed=8,
                caption_dropout=0.0)
     with N.dtype_mode("float32"):
         full = InteractionDiffusionModel(ModelConfig(init_seed=9))

@@ -18,7 +18,14 @@ from interactdiff.cli import RunConfig, build_parser, load_run_config, main
 from interactdiff.diffusion import InteractionDiffusionModel, ModelConfig, TrainConfig
 from interactdiff.errors import CheckpointError, ConfigError
 from interactdiff.numerics import ParameterStore, Tensor, load_checkpoint, save_checkpoint
-from interactdiff.scenes import SceneSpec, build_dataset, read_ppm, write_dataset, write_ppm
+from interactdiff.scenes import (
+    SceneConfig,
+    SceneSpec,
+    build_dataset,
+    read_ppm,
+    write_dataset,
+    write_ppm,
+)
 
 from oracles import (
     CHECKPOINT_FAULTS,
@@ -77,20 +84,17 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_config_file_reaches_model_and_train_config(tmp_path):
-    """Every RunConfig key that ModelConfig or TrainConfig also has reaches the
-    built config; train_seed is TrainConfig.seed."""
-    run_keys = {f.name for f in fields(RunConfig)}
-    shared = [
-        (cls, f.name, "train_seed" if (cls, f.name) == (TrainConfig, "seed") else f.name)
-        for cls in (ModelConfig, TrainConfig)
-        for f in fields(cls)
-    ]
-    shared = [entry for entry in shared if entry[2] in run_keys]
-    assert len(shared) == 22
+    """Every key of ModelConfig, TrainConfig and SceneConfig set in a config
+    file reaches the plain part config that RunConfig builds."""
+    parts = {ModelConfig: RunConfig.model_config, TrainConfig: RunConfig.train_config,
+             SceneConfig: RunConfig.scene_config}
+    keys = sorted({f.name for cls in parts for f in fields(cls)})
+    assert len(keys) == 22
     defaults = RunConfig()
-    accepted = {"image_size": 36, "n_max": 3}  # default + 1 would be rejected
+    # default + 1 would be rejected
+    accepted = {"image_size": 36, "n_max": 3, "time_dim": 66}
     values = {}
-    for _, _, key in shared:
+    for key in keys:
         default = getattr(defaults, key)
         if key in accepted:
             values[key] = accepted[key]
@@ -101,9 +105,11 @@ def test_config_file_reaches_model_and_train_config(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
     cfg = load_run_config(path)
-    built = {ModelConfig: cfg.model_config(), TrainConfig: cfg.train_config()}
-    for cls, name, key in shared:
-        assert getattr(built[cls], name) == values[key] != getattr(defaults, key), key
+    for cls, part in parts.items():
+        built = part(cfg)
+        assert type(built) is cls
+        for f in fields(cls):
+            assert getattr(built, f.name) == values[f.name] != getattr(defaults, f.name), f.name
 
 
 def test_readme_config_table_matches_run_config():
@@ -137,6 +143,9 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text("not_a_key = 1\n")
     with pytest.raises(ConfigError, match="not_a_key"):
         load_run_config(path)
+    # an override is checked against the same key table: a method is no key
+    with pytest.raises(ConfigError, match="model_config"):
+        load_run_config(None, {"model_config": 1})
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -146,16 +155,24 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert code == 2
     # values that would fail later with a traceback (a zero step, batch or
     # layer width, no region layout for n_max instances, no room for a holding
-    # pair or a second downsample) or be silently misread (a negative
-    # save_every checkpoints every step) are rejected at load, naming the key
+    # pair or a second downsample, a negative seed, an odd time_dim, no box
+    # frequency) or be silently misread (a negative save_every checkpoints
+    # every step, a negative step count trains nothing, a zero d_text embeds
+    # no label, a caption_dropout above 1 drops every caption, a negative lr
+    # ascends the loss) are rejected at load, naming the key
     for key, value in (("log_every", 0), ("eval_batch", 0), ("eval_count", 0), ("n_max", 0),
                        ("n_max", 5), ("image_size", 24), ("image_size", 30),
                        ("caption_len", 0), ("n_heads", 0), ("base_channels", 0), ("d_tok", 0),
-                       ("save_every", -1)):
+                       ("save_every", -1), ("data_seed", -1), ("init_seed", -1),
+                       ("train_seed", -1), ("sample_seed", -1), ("steps_phase1", -3),
+                       ("steps_phase2", -1), ("warmup_steps", -1), ("time_dim", 63),
+                       ("time_dim", 0), ("n_freqs", 0), ("d_text", 0), ("caption_dropout", 2.0),
+                       ("caption_dropout", -0.1), ("lr", -1), ("lr", 0)):
         path.write_text(f"{key} = {value}\n")
         capsys.readouterr()
         code = run(["gen-data", "--config", path, "--out", tmp_path / "d", "--count", 2])
         assert code == 2 and key in capsys.readouterr().err, (key, value)
+        assert not (tmp_path / "d").exists(), (key, value)
     # a negative scene count, or a sample count below one, is rejected before
     # anything is read or written
     for argv in (["gen-data", "--count", -3],
@@ -262,6 +279,22 @@ def test_resume_after_interruption_matches_uninterrupted(mini, tmp_path, monkeyp
 def test_train_missing_dataset(tmp_path):
     code = run(["train", "--data", tmp_path / "nope", "--out", tmp_path / "r"])
     assert code == 3
+
+
+@pytest.mark.parametrize("key, lowest", [("time_dim", 2), ("n_freqs", 1), ("d_text", 1),
+                                         ("caption_len", 1), ("n_heads", 1),
+                                         ("base_channels", 1)])
+def test_lowest_accepted_width_trains(mini, tmp_path, key, lowest):
+    """The lowest value the config check accepts for a width trains a step of
+    each phase: a value it lets through does not fail later."""
+    values = {"base_channels": 4, "d_tok": 8, "n_heads": 2, "time_dim": 8, "caption_len": 4,
+              "d_text": 8, "n_freqs": 2, "batch_size": 2, "steps_phase1": 1,
+              "steps_phase2": 1, "save_every": 0, "log_every": 1, key: lowest}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert run(["train", "--config", cfg, "--data", mini / "data", "--out", tmp_path / "r"]) == 0
+    model, meta = InteractionDiffusionModel.load(tmp_path / "r" / "phase2_final.ckpt")
+    assert getattr(model.config, key) == lowest and meta["step"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +556,7 @@ def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
     dets, feats_gen = zip(*(scenes.detect(img) for img in images))
     for omega in (0.0, 0.5, 1.0):
         report = evaluation.detection_map(list(dets), gts)
-        report.kid, kid_err = evaluation.kid_analog(feats_real, np.stack(feats_gen))
-        report.config_echo["kid_stderr"] = kid_err
+        report.kid, report.kid_stderr = evaluation.kid_analog(feats_real, np.stack(feats_gen))
         report.config_echo.update(load_run_config(mini / "tiny.cfg", {"eval_count": 100}).to_dict())
         report.config_echo["omega"] = omega
         assert report.kid is not None

@@ -31,6 +31,7 @@ from oracles import live_phase2_checkpoint
 from interactdiff.scenes import VOCAB, InteractionInstance, SceneSpec
 
 TINY = ModelConfig(image_size=8, base_channels=8, caption_len=12, init_seed=3)
+SCHEDULE = (1000, 1e-4, 2e-2)  # t_train, beta_start, beta_end
 
 
 def tiny_dataset(n=12, seed=0):
@@ -59,7 +60,7 @@ def tiny_dataset(n=12, seed=0):
 
 
 def test_schedule_invariants():
-    sched = NoiseSchedule()
+    sched = NoiseSchedule(*SCHEDULE)
     ab = sched.alpha_bar
     assert ab[0] == 1.0
     assert np.all(np.diff(ab) < 0)
@@ -67,7 +68,7 @@ def test_schedule_invariants():
 
 
 def test_q_sample_endpoints():
-    sched = NoiseSchedule()
+    sched = NoiseSchedule(*SCHEDULE)
     rng = np.random.default_rng(0)
     z0 = rng.normal(size=(2, 3, 8, 8))
     eps = rng.normal(size=z0.shape)
@@ -82,7 +83,7 @@ def test_q_sample_endpoints():
 
 
 def test_q_sample_variance_monte_carlo():
-    sched = NoiseSchedule()
+    sched = NoiseSchedule(*SCHEDULE)
     rng = np.random.default_rng(1)
     t = 400
     z0 = np.full((10_000, 1, 1, 1), 0.3)
@@ -94,7 +95,7 @@ def test_q_sample_variance_monte_carlo():
 
 
 def test_q_sample_range_errors():
-    sched = NoiseSchedule()
+    sched = NoiseSchedule(*SCHEDULE)
     z = np.zeros((1, 3, 8, 8))
     for t in (0, 1001):
         with pytest.raises(ContractError):
@@ -117,7 +118,7 @@ class _StubModel:
 
     def __init__(self, mode):
         self.config = ModelConfig(image_size=8)
-        self.schedule = NoiseSchedule()
+        self.schedule = NoiseSchedule(*SCHEDULE)
         self.mode = mode
 
     def forward(self, z_t, t, captions, interactions=None, eta=1):
@@ -255,7 +256,7 @@ def tiny_train_config(**kw):
         caption_dropout=0.0,
         save_every=0,
         log_every=1,
-        seed=4,
+        train_seed=4,
     )
     base.update(kw)
     return TrainConfig(**base)

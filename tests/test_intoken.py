@@ -14,7 +14,7 @@ D_TOK = 64
 
 def make_tokenizer(seed=0):
     store = ParameterStore()
-    tok = InteractionTokenizer(store, seed=seed)
+    tok = InteractionTokenizer(store, d_text=64, d_tok=D_TOK, n_freqs=8, seed=seed)
     return store, tok
 
 

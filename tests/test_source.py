@@ -87,3 +87,36 @@ def test_package_imports_are_at_module_top_and_acyclic():
 
     for name in graph:
         visit(name)
+
+
+def dataclasses_in_src() -> dict[str, tuple[list[str], list[str]]]:
+    """(base names, fields declared in the class body) of each @dataclass
+    class in src/, by class name."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list
+            ):
+                found[node.name] = (
+                    [ast.unparse(b) for b in node.bases],
+                    [s.target.id for s in node.body
+                     if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)],
+                )
+    return found
+
+
+def test_each_config_setting_is_declared_once():
+    """RunConfig is built from ModelConfig (itself a SceneConfig) and
+    TrainConfig by inheritance, and no dataclass re-declares a field of its
+    bases, so each setting has one declaration and one default."""
+    classes = dataclasses_in_src()
+
+    def ancestors(name):
+        return {a for b in classes[name][0] if b in classes for a in {b} | ancestors(b)}
+
+    assert ancestors("RunConfig") == {"ModelConfig", "SceneConfig", "TrainConfig"}
+    redeclared = [f"{name}.{field}" for name, (_, own) in classes.items()
+                  for field in own
+                  if any(field in classes[base][1] for base in ancestors(name))]
+    assert not redeclared, redeclared
