@@ -19,13 +19,15 @@ import numpy as np
 from .diffusion import (
     InteractionDiffusionModel,
     ModelConfig,
+    NoiseSchedule,
     TrainConfig,
     sample,
     train_phase,
 )
-from .errors import ConfigError, DataError, InteractDiffError, NumericError
+from .errors import ConfigError, ContractError, DataError, InteractDiffError, NumericError
 from . import numerics as N
 from .evaluation import KID_MIN_SAMPLES, detection_map, kid_analog
+from .layers import norm_groups
 from .scenes import (
     VOCAB,
     SceneConfig,
@@ -148,6 +150,17 @@ def _validate(cfg: RunConfig) -> None:
     # quadrant size // 2 - 4 px wide
     if cfg.image_size % 4 or cfg.image_size < 28:
         raise ConfigError(f"image_size must be a multiple of 4 and >= 28, got {cfg.image_size}")
+    if cfg.d_tok % cfg.n_heads:
+        raise ConfigError(f"n_heads must divide d_tok {cfg.d_tok}, got {cfg.n_heads}")
+    # the model's own checks, with the keys they read named
+    for keys, check in (("base_channels", lambda: norm_groups(cfg.base_channels)),
+                        ("d_tok", lambda: norm_groups(cfg.d_tok)),
+                        ("beta_start, beta_end",
+                         lambda: NoiseSchedule(cfg.t_train, cfg.beta_start, cfg.beta_end))):
+        try:
+            check()
+        except ContractError as exc:
+            raise ConfigError(f"{keys}: {exc}") from exc
 
 
 def _write_config_echo(cfg: RunConfig, out_dir) -> None:
@@ -203,6 +216,9 @@ def _cmd_train(args, cfg: RunConfig) -> int:
     if args.resume:
         model, meta = InteractionDiffusionModel.load(args.resume)
         first = int(meta.get("phase", phases[0]))
+        if args.phase != "both" and int(args.phase) != first:
+            raise ConfigError(f"--phase {args.phase} but {args.resume} is a phase-{first} "
+                              "checkpoint (phase 2 starts from phase 1 with --base-ckpt)")
         phases = [1, 2] if args.phase == "both" and first == 1 else [first]
         start = int(meta.get("step", 0))
     elif phases == [2]:

@@ -40,13 +40,18 @@ from .scenes import VOCAB, SceneConfig
 @dataclass
 class NoiseSchedule:
     """Linear-beta DDPM forward process; alpha-bar indexed 0..T with
-    alpha_bar[0] = 1 (clean image)."""
+    alpha_bar[0] = 1 (clean image).  Raises ContractError unless
+    0 < beta_start <= beta_end < 1 and alpha-bar, in float64, strictly
+    decreases (a beta_end near 1 underflows it to 0)."""
 
     t_train: int
     beta_start: float
     beta_end: float
 
     def __post_init__(self):
+        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
+            raise ContractError(f"betas must satisfy 0 < beta_start <= beta_end < 1, "
+                                f"got {self.beta_start} and {self.beta_end}")
         betas = np.linspace(self.beta_start, self.beta_end, self.t_train)
         self.alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
         if not np.all(np.diff(self.alpha_bar) < 0):
@@ -211,7 +216,7 @@ class InteractionDiffusionModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, path, extra_meta: dict | None = None) -> None:
-        meta = {"model": asdict(self.config), "schema_version": 1}
+        meta = {"model": asdict(self.config)}
         meta.update(extra_meta or {})
         save_checkpoint(self.store, path, meta=meta)
 
@@ -305,7 +310,8 @@ def train_phase(
     """Run one training phase; returns the final checkpoint path.
 
     Per-step RNG is derived from (train_seed, phase, step), so resuming from a
-    checkpoint reproduces an uninterrupted run bit-exactly.
+    checkpoint reproduces an uninterrupted run bit-exactly.  Adam's t is the
+    phase's own step, so each phase starts a fresh Adam.
     """
     if phase == 1:
         model.store.unfreeze("base.")
@@ -355,7 +361,7 @@ def train_phase(
                 # signal; keep the rate constant instead of decaying it
                 decay = 1.0
             lr = tcfg.lr * warm * decay
-            adam_step(model.store, lr=lr)
+            adam_step(model.store, lr, step)
             model.store.zero_grad()
             if step % tcfg.log_every == 0 or step == steps:
                 writer.writerow([step, phase, f"{loss_val:.6f}", f"{lr:.2e}"])

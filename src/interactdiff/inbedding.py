@@ -1,7 +1,7 @@
 """Instance and role embeddings over tokenizer output.
 
 Purely additive: e = h + q_instance + r_role.  Slots beyond the actual
-instance count hold a learned null token and are masked out of attention.
+instance count hold zeros and are masked out of attention.
 Instance embeddings are slot-indexed (segment-embedding style).
 """
 
@@ -23,7 +23,6 @@ class InteractionEmbeddings:
         rng = np.random.default_rng(seed)
         self.instance = store.add(f"{PREFIX}.instance", Tensor(rng.normal(0.0, 0.02, size=(n_max, d_tok))))
         self.role = store.add(f"{PREFIX}.role", Tensor(rng.normal(0.0, 0.02, size=(3, d_tok))))
-        self.null = store.add(f"{PREFIX}.null", Tensor(rng.normal(0.0, 0.02, size=(d_tok,))))
 
     def embed_batch(self, tokens: Tensor, counts) -> tuple[Tensor, np.ndarray]:
         """Pad and embed a batch of scenes.
@@ -42,7 +41,7 @@ class InteractionEmbeddings:
         if tokens.shape[0] != 3 * total:
             raise ContractError(f"{tokens.shape[0]} token rows for {total} instances")
         # pool rows: each scene's subjects, actions and objects in turn, then
-        # the null row; this order fixes the summation order of the instance
+        # a zero pad row; this order fixes the summation order of the instance
         # and role embedding gradients.  Batch slots index into the pool.
         idx = np.full((B, 3 * self.n_max), 3 * total, dtype=np.int64)
         mask = np.zeros((B, 3 * self.n_max), dtype=bool)
@@ -61,5 +60,5 @@ class InteractionEmbeddings:
         h_all = N.take(tokens, np.array(perm))
         e_all = (h_all + N.take(self.instance, np.array(slot_ids))
                  + N.take(self.role, np.array(role_ids)))
-        null = self.null.reshape(1, -1)
-        return N.take(N.concat([e_all, null], axis=0), idx), mask
+        pad = Tensor(np.zeros((1, tokens.shape[1])))
+        return N.take(N.concat([e_all, pad], axis=0), idx), mask

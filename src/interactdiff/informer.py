@@ -3,7 +3,7 @@ scheduled-sampling gate.
 
 Block wiring (pre-norm residual):
 
-    v = v + pos
+    v = v + pos                                      # learned, frozen after phase 1
     v = v + SelfAttn(LN(v))                          # frozen after phase 1
     v = v + eta * tanh(gamma) * TS(SelfAttn(LN([v, e])))   # trainable
     v = v + CrossAttn(LN(v), c)                      # frozen after phase 1
@@ -55,7 +55,9 @@ def eta_schedule(t: int, config: SamplerConfig) -> int:
 
 
 def grid_position_features(n_tokens: int, d_tok: int) -> np.ndarray:
-    """Fixed sinusoidal position features for a row-major square token grid.
+    """Sinusoidal position features for a row-major square token grid: the
+    initial value of each InformerBlock's learned `pos` parameter, which
+    phase 1 trains.
 
     Unit-amplitude so position stays legible next to O(1) activations; the
     x/y coordinates each fill half the channels.

@@ -41,15 +41,24 @@ class Conv2d:
         return N.conv2d(x, self.w, self.b, stride=self.stride)
 
 
+def norm_groups(channels: int) -> int:
+    """GroupNorm's group count for `channels`, clip(channels // 4, 1, 8).
+
+    Raises ContractError unless it divides `channels`.
+    """
+    groups = max(1, min(8, channels // 4))
+    if channels % groups:
+        raise ContractError(f"{groups} groups do not divide {channels} channels")
+    return groups
+
+
 class GroupNorm:
     """GroupNorm of channels-last (B, H, W, C) input as one layer_norm: each
-    sample's `groups` = clip(C // 4, 1, 8) contiguous channel blocks are
-    normalized separately."""
+    sample's `norm_groups(C)` contiguous channel blocks are normalized
+    separately."""
 
     def __init__(self, store, name, channels):
-        self.groups = max(1, min(8, channels // 4))
-        if channels % self.groups:
-            raise ContractError(f"{name}: {self.groups} groups do not divide {channels} channels")
+        self.groups = norm_groups(channels)
         self.gain = store.add(f"{name}.gain", Tensor(np.ones(channels)))
         self.bias = store.add(f"{name}.bias", Tensor(np.zeros(channels)))
 

@@ -2,15 +2,15 @@
 
 Checkpoint layout:
 
-    magic "IDCK" | u32 version (2) | u32 header length | header JSON (UTF-8)
+    magic "IDCK" | u32 version (3) | u32 header length | header JSON (UTF-8)
     | arrays, raw and little-endian, back to back
 
 The header is {"params": [{"name", "dtype", "shape", "frozen"}, ...],
-"moments": [name, ...], "step_count": int, "meta": {...}}, with dtype "f4"
-or "f8".  The arrays follow in header order: every parameter, then the
-Adam m and v of each name in "moments", in its parameter's dtype and shape.
-Round trips are bit-exact, and the little-endian payload keeps checkpoints
-portable across machine byte orders.
+"moments": [name, ...], "meta": {...}}, with dtype "f4" or "f8".  The
+arrays follow in header order: every parameter, then the Adam m and v of
+each name in "moments" (trainable ones only), in its parameter's dtype
+and shape.  Round trips are bit-exact, and the little-endian payload keeps
+checkpoints portable across machine byte orders.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..errors import CheckpointError, ContractError
 from .tensor import Tensor
 
 _MAGIC = b"IDCK"
-_VERSION = 2
+_VERSION = 3
 _PREFIX = struct.Struct("<4sII")  # magic, version, header length
 _CODES = {np.dtype(np.float32): "f4", np.dtype(np.float64): "f8"}
 
@@ -35,14 +35,14 @@ class ParameterStore:
     """Registry of named, optionally frozen parameter tensors.
 
     A parameter is frozen when its requires_grad is off, so the tape never
-    accumulates gradient into it and the optimizer skips it.
+    accumulates gradient into it, and the optimizer skips it and drops its
+    Adam moments: a parameter unfrozen later starts Adam afresh.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self.step_count: int = 0
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
@@ -65,6 +65,8 @@ class ParameterStore:
             if name.startswith(prefix):
                 t.requires_grad = False
                 t.grad = None
+                self._m.pop(name, None)
+                self._v.pop(name, None)
 
     def unfreeze(self, prefix: str = "") -> None:
         for name, t in self._params.items():
@@ -72,8 +74,8 @@ class ParameterStore:
                 t.requires_grad = True
 
     def load_state(self, other: "ParameterStore") -> None:
-        """Take over `other`'s parameter values, frozen flags, Adam moments
-        and step count, e.g. a store read by load_checkpoint.
+        """Take over `other`'s parameter values, frozen flags and Adam
+        moments, e.g. a store read by load_checkpoint.
 
         It updates this store's Tensors in place (their .data), because
         layers hold references to them.
@@ -95,7 +97,6 @@ class ParameterStore:
             t.requires_grad = other[name].requires_grad
             t.grad = None
         self._m, self._v = other._m, other._v
-        self.step_count = other.step_count
 
     def zero_grad(self) -> None:
         for t in self._params.values():
@@ -113,17 +114,15 @@ class ParameterStore:
         return int.from_bytes(h.digest()[:8], "little")
 
 
-def adam_step(store: ParameterStore, lr: float) -> None:
-    """One Adam update (betas 0.9, 0.999; eps 1e-8) over all non-frozen
-    parameters in `store`.
+def adam_step(store: ParameterStore, lr: float, step: int) -> None:
+    """One Adam update (betas 0.9, 0.999; eps 1e-8) at bias-correction
+    t = `step` (1-based) over all non-frozen parameters in `store`.
 
     Raises ContractError if any trainable parameter is missing its gradient.
     """
     b1, b2 = 0.9, 0.999
-    store.step_count += 1
-    t = store.step_count
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - b1**step
+    bc2 = 1.0 - b2**step
     for name, p in store.items():
         if not p.requires_grad:
             continue
@@ -154,7 +153,6 @@ def save_checkpoint(store: ParameterStore, path, meta: dict | None = None) -> No
         "params": [{"name": name, "dtype": codes[name], "shape": list(p.shape),
                     "frozen": not p.requires_grad} for name, p in store.items()],
         "moments": moments,
-        "step_count": store.step_count,
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -180,7 +178,7 @@ def save_checkpoint(store: ParameterStore, path, meta: dict | None = None) -> No
 def load_checkpoint(path) -> tuple[ParameterStore, dict]:
     """Read a checkpoint; returns (store, meta).
 
-    Raises CheckpointError on any file that is not a version-2 checkpoint:
+    Raises CheckpointError on any file that is not a version-3 checkpoint:
     bad magic or version, a header that is not UTF-8 JSON of the documented
     form, an unknown dtype, moments of an unknown parameter, a short payload
     or trailing bytes.
@@ -203,7 +201,7 @@ def _parse_checkpoint(buf: bytes) -> tuple[ParameterStore, dict]:
     try:
         h = json.loads(buf[_PREFIX.size : start].decode("utf-8"))
         params = [(p["name"], p["dtype"], tuple(p["shape"]), p["frozen"]) for p in h["params"]]
-        moments, step_count, meta = h["moments"], h["step_count"], h["meta"]
+        moments, meta = h["moments"], h["meta"]
         unknown = set(moments) - {p[0] for p in params}
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise CheckpointError(f"malformed header: {exc}") from exc
@@ -217,8 +215,8 @@ def _parse_checkpoint(buf: bytes) -> tuple[ParameterStore, dict]:
         layout[name] = (np.dtype("<" + code), shape)
     if unknown or len(set(moments)) != len(moments):
         raise CheckpointError(f"Adam moments for unknown or repeated parameters {unknown or moments}")
-    if not (isinstance(step_count, int) and step_count >= 0 and isinstance(meta, dict)):
-        raise CheckpointError("malformed header: step count or meta")
+    if not isinstance(meta, dict):
+        raise CheckpointError("malformed header: meta is not an object")
     order = list(layout.values()) + [layout[name] for name in moments for _ in "mv"]
     size = sum(dt.itemsize * math.prod(shape) for dt, shape in order)
     if len(buf) - start != size:
@@ -234,5 +232,4 @@ def _parse_checkpoint(buf: bytes) -> tuple[ParameterStore, dict]:
     n = len(params)
     for name, m, v in zip(moments, arrays[n::2], arrays[n + 1 :: 2]):
         store._m[name], store._v[name] = m, v
-    store.step_count = step_count
     return store, meta

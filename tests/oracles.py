@@ -139,6 +139,7 @@ def mmd2_full_ustat(x, y, kernel):
 CHECKPOINT_FAULTS = {
     "magic": "magic",
     "version": "version 1",
+    "version-2": "version 2",
     "utf8": "malformed header",
     "json": "malformed header",
     "dtype": "unknown dtype 'f2'",
@@ -158,8 +159,8 @@ def corrupt_checkpoint(data: bytes, fault: str) -> bytes:
     header, payload = data[prefix.size : prefix.size + n], data[prefix.size + n :]
     if fault == "magic":
         return b"XXXX" + data[4:]
-    if fault == "version":
-        return prefix.pack(magic, 1, n) + data[prefix.size :]
+    if fault in ("version", "version-2"):
+        return prefix.pack(magic, 1 if fault == "version" else 2, n) + data[prefix.size :]
     if fault in ("utf8", "json"):
         return data[: prefix.size] + (b"\xff" if fault == "utf8" else b"x") + data[prefix.size + 1 :]
     if fault == "short":

@@ -91,8 +91,9 @@ def test_config_file_reaches_model_and_train_config(tmp_path):
     keys = sorted({f.name for cls in parts for f in fields(cls)})
     assert len(keys) == 22
     defaults = RunConfig()
-    # default + 1 would be rejected
-    accepted = {"image_size": 36, "n_max": 3, "time_dim": 66}
+    # default + 1 would be rejected (d_tok 80 takes n_heads 5 and 8 GroupNorm
+    # groups, base_channels 20 its 5 groups)
+    accepted = {"image_size": 36, "n_max": 3, "time_dim": 66, "base_channels": 20, "d_tok": 80}
     values = {}
     for key in keys:
         default = getattr(defaults, key)
@@ -134,7 +135,7 @@ def test_reference_init_and_scene_bytes_pinned(tmp_path):
     write_dataset(build_dataset(50, 0, cfg.scene_config()), tmp_path / "scenes.jsonl")
     digest = hashlib.sha256((tmp_path / "scenes.jsonl").read_bytes()).hexdigest()
     # these change only with a deliberate regeneration of the reference artifacts
-    assert model.store.state_hash() == 288220872781819762
+    assert model.store.state_hash() == 17060391145670425143
     assert digest == "afc02834ce5835215ea6f24a919c7d35ba0c36859e1b46dd178bea78eda16382"
 
 
@@ -159,7 +160,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
     # frequency) or be silently misread (a negative save_every checkpoints
     # every step, a negative step count trains nothing, a zero d_text embeds
     # no label, a caption_dropout above 1 drops every caption, a negative lr
-    # ascends the loss) are rejected at load, naming the key
+    # ascends the loss, a beta_start above beta_end runs a falling-beta
+    # schedule) are rejected at load, naming the key; so are the layer shapes
+    # and betas the model cannot build
     for key, value in (("log_every", 0), ("eval_batch", 0), ("eval_count", 0), ("n_max", 0),
                        ("n_max", 5), ("image_size", 24), ("image_size", 30),
                        ("caption_len", 0), ("n_heads", 0), ("base_channels", 0), ("d_tok", 0),
@@ -167,7 +170,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
                        ("train_seed", -1), ("sample_seed", -1), ("steps_phase1", -3),
                        ("steps_phase2", -1), ("warmup_steps", -1), ("time_dim", 63),
                        ("time_dim", 0), ("n_freqs", 0), ("d_text", 0), ("caption_dropout", 2.0),
-                       ("caption_dropout", -0.1), ("lr", -1), ("lr", 0)):
+                       ("caption_dropout", -0.1), ("lr", -1), ("lr", 0),
+                       ("beta_start", 0.05), ("beta_start", 0), ("beta_start", -1e-4),
+                       ("beta_end", 1.0), ("beta_end", 1.5), ("beta_end", 0.99),
+                       ("n_heads", 3), ("base_channels", 9), ("d_tok", 60)):
         path.write_text(f"{key} = {value}\n")
         capsys.readouterr()
         code = run(["gen-data", "--config", path, "--out", tmp_path / "d", "--count", 2])
@@ -274,6 +280,16 @@ def test_resume_after_interruption_matches_uninterrupted(mini, tmp_path, monkeyp
     resumed, _ = load_checkpoint(cut / "phase2_final.ckpt")
     full, _ = load_checkpoint(tmp_path / "full" / "phase2_final.ckpt")
     assert resumed.state_hash() == full.state_hash()
+
+
+def test_resume_rejects_another_phase(mini, tmp_path):
+    """`--resume` with `--phase 1` or `--phase 2` resumes only a checkpoint of
+    that phase; any other is rejected before anything is written."""
+    for phase, ckpt in (("2", "phase1_final.ckpt"), ("1", "phase2_final.ckpt")):
+        out = tmp_path / f"p{phase}"
+        code = run(["train", "--config", mini / "tiny.cfg", "--data", mini / "data",
+                    "--out", out, "--phase", phase, "--resume", mini / "run" / ckpt])
+        assert code == 2 and not out.exists(), (phase, ckpt)
 
 
 def test_train_missing_dataset(tmp_path):

@@ -290,6 +290,69 @@ def test_train_phases_freeze_correctly(tmp_path):
     assert model.store.state_hash("inter.") != inter_hash_before
 
 
+def _live_model(tmp_path):
+    """TINY with the output conv, the interaction weights and the gates
+    perturbed, so that no zero-init weight cuts a gradient path."""
+    return InteractionDiffusionModel.load(live_phase2_checkpoint(tmp_path / "live.ckpt", TINY))[0]
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_every_trained_parameter_gets_a_gradient(tmp_path, monkeypatch, phase):
+    """One step of a phase leaves a nonzero gradient on every parameter that
+    phase trains: the model holds no parameter its loss never reaches."""
+    model = _live_model(tmp_path)
+    trained, dead = [], []
+
+    def checked_adam_step(store, lr, step):
+        for name, p in store.items():
+            if p.requires_grad:
+                trained.append(name)
+                if p.grad is None or not p.grad.any():
+                    dead.append(name)
+        N.adam_step(store, lr, step)
+
+    monkeypatch.setattr(diffusion, "adam_step", checked_adam_step)
+    train_phase(model, tiny_dataset(), tiny_train_config(steps_phase1=1, steps_phase2=1),
+                phase, tmp_path / "run")
+    prefix = "base." if phase == 1 else "inter."
+    assert trained == [name for name in model.store.names() if name.startswith(prefix)]
+    assert dead == []
+
+
+def test_adam_restarts_each_phase(tmp_path, monkeypatch):
+    """After phase 1, phase 2's first update of every inter.* weight is
+    standard Adam's first step, -lr * g / (|g| + eps); each phase's
+    checkpoints hold Adam moments for exactly the parameters it trains, and
+    phase 2 resumes bit-exactly from a step checkpoint."""
+    model = _live_model(tmp_path)
+    ds = tiny_dataset()
+    tcfg = tiny_train_config(steps_phase1=4, steps_phase2=2, save_every=1)
+    train_phase(model, ds, tcfg, 1, tmp_path)
+    calls = []
+
+    def recording_adam_step(store, lr, step):
+        live = [name for name, p in store.items() if p.requires_grad]
+        before = {name: (store[name].data.copy(), store[name].grad.copy()) for name in live}
+        N.adam_step(store, lr, step)
+        calls.append((lr, step, before, {name: store[name].data.copy() for name in live}))
+
+    monkeypatch.setattr(diffusion, "adam_step", recording_adam_step)
+    train_phase(model, ds, tcfg, 2, tmp_path)
+    lr, step, before, after = calls[0]
+    assert step == 1 and [c[1] for c in calls] == [1, 2]
+    for name, (p, g) in before.items():
+        assert np.allclose(after[name], p - lr * g / (np.abs(g) + 1e-8), rtol=0, atol=1e-12), name
+    names = model.store.names()
+    for phase, ckpt in ((1, "phase1_step000001"), (1, "phase1_final"),
+                        (2, "phase2_step000001"), (2, "phase2_final")):
+        store, _ = N.load_checkpoint(tmp_path / f"{ckpt}.ckpt")
+        prefix = "base." if phase == 1 else "inter."
+        assert sorted(store._m) == sorted(n for n in names if n.startswith(prefix)), ckpt
+    resumed, meta = InteractionDiffusionModel.load(tmp_path / "phase2_step000001.ckpt")
+    train_phase(resumed, ds, tcfg, 2, tmp_path / "resumed", start_step=meta["step"])
+    assert resumed.store.state_hash() == model.store.state_hash()
+
+
 def test_metrics_csv_schema(tmp_path):
     model = InteractionDiffusionModel(TINY)
     train_phase(model, tiny_dataset(), tiny_train_config(), phase=1, out_dir=tmp_path)

@@ -327,25 +327,25 @@ class TestAdam:
     def test_frozen_untouched(self):
         store, t = self._store_with("w", [1.0, 2.0], frozen=True)
         before = t.data.tobytes()
-        for _ in range(5):
-            adam_step(store, lr=0.1)
+        for step in range(1, 6):
+            adam_step(store, 0.1, step)
         assert t.data.tobytes() == before
 
     def test_first_step_magnitude(self):
         store, t = self._store_with("w", [0.0], grad=[1.0])
-        adam_step(store, lr=1e-3)
+        adam_step(store, 1e-3, 1)
         # bias-corrected first step is -lr * g/(|g| + eps-slack)
         assert abs(t.data[0] + 1e-3) < 1e-9
 
     def test_zero_grad_no_move(self):
         store, t = self._store_with("w", [3.0], grad=[0.0])
-        adam_step(store, lr=0.5)
+        adam_step(store, 0.5, 1)
         assert t.data[0] == 3.0
 
     def test_missing_grad_contract_error(self):
         store, _ = self._store_with("w", [1.0])
         with pytest.raises(ContractError):
-            adam_step(store, lr=0.1)
+            adam_step(store, 0.1, 1)
 
     def test_frozen_bitwise_after_training(self):
         rng = np.random.default_rng(3)
@@ -354,13 +354,29 @@ class TestAdam:
         live = store.add("inter.w", Tensor(rng.normal(size=(4, 4))))
         store.freeze("base.")
         snapshot = frozen.data.tobytes()
-        for _ in range(20):
+        for step in range(1, 21):
             store.zero_grad()
             loss = _sq(frozen @ live).sum()
             loss.backward()
-            adam_step(store, lr=1e-2)
+            adam_step(store, 1e-2, step)
         assert frozen.data.tobytes() == snapshot
         assert live.grad is not None
+
+    def test_step_is_the_bias_correction_t(self):
+        """`step` is the t of the bias correction: a first update at t = 1
+        moves a parameter by lr, one at t = 8001 (counting on from 8,000
+        phase-1 steps) by about 3.16 lr."""
+        for step, factor in ((1, 1.0), (8001, 0.1 / np.sqrt(1e-3 / (1.0 - 0.999**8001)))):
+            store, t = self._store_with("w", [0.0], grad=[2.0])
+            adam_step(store, 1e-3, step)
+            assert abs(t.data[0] + 1e-3 * factor) < 1e-9 * factor, step
+
+    def test_freezing_drops_moments(self):
+        store, _ = self._store_with("w", [1.0], grad=[0.5])
+        adam_step(store, 0.1, 1)
+        assert set(store._m) == set(store._v) == {"w"}
+        store.freeze("w")
+        assert store._m == {} and store._v == {}
 
 
 class TestCheckpoint:
@@ -373,12 +389,10 @@ class TestCheckpoint:
         # populate moments
         store._m["inter.gate"] = np.array(0.5)
         store._v["inter.gate"] = np.array(0.25)
-        store.step_count = 17
         path = tmp_path / "ck.bin"
         save_checkpoint(store, path, meta={"seed": 1})
         loaded, meta = load_checkpoint(path)
         assert meta == {"seed": 1}
-        assert loaded.step_count == 17
         assert loaded.names() == store.names()
         for name in store.names():
             assert loaded[name].data.tobytes() == store[name].data.tobytes()
@@ -427,9 +441,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("fault", CHECKPOINT_FAULTS)
     def test_bad_magic(self, tmp_path, fault):
-        """Every malformed file raises CheckpointError: bad magic, version 1,
-        a header that is not UTF-8 or not JSON, an unknown dtype, moments of
-        an unknown parameter, a short payload, trailing bytes."""
+        """Every malformed file raises CheckpointError: bad magic, version 1
+        or 2 (whose moments ran under one Adam count across phases), a
+        header that is not UTF-8 or not JSON, an unknown dtype, moments of an
+        unknown parameter, a short payload, trailing bytes."""
         store = ParameterStore()
         store.add("w", Tensor([1.0, 2.0]))
         store._m["w"], store._v["w"] = np.array([0.5, 0.5]), np.array([0.25, 0.25])
