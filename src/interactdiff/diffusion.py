@@ -224,10 +224,9 @@ class InteractionDiffusionModel:
     def load(cls, path) -> tuple["InteractionDiffusionModel", dict]:
         store, meta = load_checkpoint(path)
         try:
-            config = ModelConfig(**meta["model"])
-        except (KeyError, TypeError) as exc:
+            model = cls(ModelConfig(**meta["model"]))
+        except (KeyError, TypeError, ContractError) as exc:
             raise CheckpointError(f"{path}: no valid model config in metadata: {exc!r}") from exc
-        model = cls(config)
         model.store.load_state(store)
         return model, meta
 

@@ -456,14 +456,21 @@ def layer_norm(x, gain, bias, groups=None) -> Tensor:
 # -- convolution and resampling --------------------------------------------
 
 
+# output rows per forward GEMM, which bounds the column block built at once
+_CONV_CHUNK_ROWS = 2048
+
+
 def conv2d(x, w, b, stride: int = 1) -> Tensor:
     """2-d cross-correlation of channels-last input, zero-padded by 1 on each
-    side, via im2col + one GEMM.
+    side, via im2col + GEMM.
 
     x: (B, H, W, Cin); w: (Cout, Cin, kh, kw); b: (Cout,).
-    Returns (B, Ho, Wo, Cout).  The columns are in (kh, kw, Cin) order, so
-    im2col is kh*kw strided slice copies into contiguous (..., Cin) runs and
-    col2im adds the same slices back; the weight is permuted to match.
+    Returns (B, Ho, Wo, Cout).  The columns are in (kh, kw, Cin) order, so a
+    kernel row's kw*Cin entries are one contiguous run of the padded input and
+    im2col is one copy of a strided view; the weight is permuted to match.
+    The forward builds columns for about _CONV_CHUNK_ROWS output rows at a
+    time, and the node keeps only the padded input: backward rebuilds the
+    columns once for the weight gradient and adds the input gradient tap by tap.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     B, H, W, Cin = x.data.shape
@@ -473,28 +480,34 @@ def conv2d(x, w, b, stride: int = 1) -> Tensor:
     Ho = (H + 2 - kh) // stride + 1
     Wo = (W + 2 - kw) // stride + 1
     xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    windows = [(slice(None), slice(i, i + stride * Ho, stride), slice(j, j + stride * Wo, stride))
-               for i in range(kh) for j in range(kw)]
-    col = np.empty((B, Ho, Wo, kh * kw, Cin), dtype=xp.dtype)
-    for n, win in enumerate(windows):
-        col[:, :, :, n] = xp[win]
-    col = col.reshape(B * Ho * Wo, kh * kw * Cin)
+    s0, s1, s2, s3 = xp.strides
+
+    def im2col(lo, hi):
+        view = np.lib.stride_tricks.as_strided(xp[lo:], (min(hi, B) - lo, Ho, Wo, kh, kw * Cin),
+                                               (s0, s1 * stride, s2 * stride, s1, s3))
+        return view.reshape(-1, kh * kw * Cin)
+
     wmat = w.data.transpose(0, 2, 3, 1).reshape(Cout, -1)
-    out = (col @ wmat.T).reshape(B, Ho, Wo, Cout)
+    out = np.empty((B, Ho, Wo, Cout), dtype=np.result_type(xp, wmat))
+    step = max(1, _CONV_CHUNK_ROWS // (Ho * Wo))
+    for lo in range(0, B, step):
+        np.matmul(im2col(lo, lo + step), wmat.T, out=out[lo:lo + step].reshape(-1, Cout))
     out += b.data
+    xp = xp if w.requires_grad else None  # the input gradient needs only g and wmat
 
     def backward(g):
         gmat = g.reshape(B * Ho * Wo, Cout)
         if b.requires_grad:
             b._accumulate(gmat.sum(axis=0))
         if w.requires_grad:
-            gw = gmat.T @ col
+            gw = gmat.T @ im2col(0, B)
             w._accumulate(gw.reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            gcol = (gmat @ wmat).reshape(B, Ho, Wo, kh * kw, Cin)
-            gxp = np.zeros(xp.shape, dtype=x.data.dtype)
-            for n, win in enumerate(windows):
-                gxp[win] += gcol[:, :, :, n]
+            gxp = np.zeros((B, H + 2, W + 2, Cin), dtype=x.data.dtype)
+            for t in range(kh * kw):
+                i, j = divmod(t, kw)
+                gxp[:, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += (
+                    gmat @ wmat[:, t * Cin:(t + 1) * Cin]).reshape(B, Ho, Wo, Cin)
             x._accumulate(gxp[:, 1:-1, 1:-1])
 
     return _make(out, (x, w, b), backward, "conv2d")

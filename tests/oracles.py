@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own gradient machinery: finite
 differences perturb raw numpy buffers and re-run the forward function.  The
-one exception is `composed_attention`, the graph of primitive nodes that the
-fused attention op replaces; it is the bitwise reference for that op.
+exceptions are the bitwise references for two ops: `composed_attention`, the
+graph of primitive nodes that the fused attention op replaces, and
+`composed_conv2d`, the whole-batch im2col convolution that the chunked
+`conv2d` replaces.
 """
 
 import json
@@ -86,6 +88,44 @@ def composed_attention(q, k, v, n_heads, bias=None):
         scores = scores + bias
     out = softmax(scores) @ vh  # (B, H, Sq, dh)
     return out.transpose(0, 2, 1, 3).reshape(B, Sq, D)
+
+
+def composed_conv2d(x, w, b, stride=1):
+    """conv2d as whole-batch im2col: kh*kw slice copies into one
+    (B*Ho*Wo, kh*kw*Cin) column matrix kept for backward, one GEMM each for
+    the output and the weight and column gradients, and col2im that adds the
+    column gradient's slices back in tap order.  `numerics.conv2d` must
+    match it bit for bit, forward and backward."""
+    B, H, W, Cin = x.data.shape
+    Cout, _, kh, kw = w.data.shape
+    Ho = (H + 2 - kh) // stride + 1
+    Wo = (W + 2 - kw) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    windows = [(slice(None), slice(i, i + stride * Ho, stride), slice(j, j + stride * Wo, stride))
+               for i in range(kh) for j in range(kw)]
+    col = np.empty((B, Ho, Wo, kh * kw, Cin), dtype=xp.dtype)
+    for n, win in enumerate(windows):
+        col[:, :, :, n] = xp[win]
+    col = col.reshape(B * Ho * Wo, kh * kw * Cin)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(Cout, -1)
+    out = (col @ wmat.T).reshape(B, Ho, Wo, Cout)
+    out += b.data
+
+    def backward(g):
+        gmat = g.reshape(B * Ho * Wo, Cout)
+        if b.requires_grad:
+            b._accumulate(gmat.sum(axis=0))
+        if w.requires_grad:
+            gw = gmat.T @ col
+            w._accumulate(gw.reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2))
+        if x.requires_grad:
+            gcol = (gmat @ wmat).reshape(B, Ho, Wo, kh * kw, Cin)
+            gxp = np.zeros(xp.shape, dtype=x.data.dtype)
+            for n, win in enumerate(windows):
+                gxp[win] += gcol[:, :, :, n]
+            x._accumulate(gxp[:, 1:-1, 1:-1])
+
+    return _make(out, (x, w, b), backward, "conv2d")
 
 
 def between_bruteforce(bs, bo):

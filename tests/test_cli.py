@@ -411,17 +411,28 @@ def test_mismatched_checkpoint_rejected(mini, tmp_path, fault, culprit):
     assert code == 3
 
 
-@pytest.mark.parametrize("model", [None, {"no_such_field": 1}, [16]],
-                         ids=["missing", "unknown-field", "not-a-mapping"])
-def test_checkpoint_without_valid_model_config_rejected(mini, tmp_path, model):
+# checkpoint metadata whose model config is absent, malformed, or one the
+# model cannot be built from (beta_start above the default beta_end)
+MODEL_META_FAULTS = {
+    "missing": lambda meta: {},
+    "unknown-field": lambda meta: dict(meta, model={"no_such_field": 1}),
+    "not-a-mapping": lambda meta: dict(meta, model=[16]),
+    "unbuildable": lambda meta: dict(meta, model=dict(meta["model"], beta_start=0.05)),
+}
+
+
+@pytest.mark.parametrize("fault", MODEL_META_FAULTS)
+def test_checkpoint_without_valid_model_config_rejected(mini, tmp_path, capsys, fault):
     store, meta = load_checkpoint(mini / "run" / "phase2_final.ckpt")
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(store, path, meta={} if model is None else dict(meta, model=model))
+    save_checkpoint(store, path, meta=MODEL_META_FAULTS[fault](meta))
     with pytest.raises(CheckpointError, match="model config"):
         InteractionDiffusionModel.load(path)
+    capsys.readouterr()
     code = run(["sample", "--ckpt", path, "--scene-json", mini / "data" / "scenes.jsonl",
                 "--out", tmp_path / "o"])
     assert code == 3
+    assert str(path) in capsys.readouterr().err
 
 
 def test_nonfinite_samples_exit_4(mini, tmp_path):

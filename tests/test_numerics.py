@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from interactdiff.numerics import (
     tensor,
 )
 
-from oracles import CHECKPOINT_FAULTS, check_gradients, composed_attention, corrupt_checkpoint
+from oracles import (
+    CHECKPOINT_FAULTS,
+    check_gradients,
+    composed_attention,
+    composed_conv2d,
+    corrupt_checkpoint,
+)
 
 RNG = np.random.default_rng(0)
 
@@ -280,6 +287,68 @@ def test_conv2d_float32_matches_direct_loops():
     want = _conv_loops(x, w, b, 1, 1, np.zeros((2, 6, 5, 3)))[0]
     assert out.dtype == np.float32
     assert np.allclose(out, want, rtol=1e-5, atol=1e-5)
+
+
+# (B, H, W, Cin, Cout, stride): every conv of the reference model at its
+# batch of 16, a batch that ends in a partial forward chunk, and a
+# non-square input
+CONV_SHAPES = [
+    (16, 32, 32, 3, 32, 1), (16, 32, 32, 32, 32, 1), (16, 32, 32, 32, 3, 1),
+    (16, 32, 32, 32, 64, 2), (16, 16, 16, 64, 64, 1), (16, 8, 8, 64, 64, 1),
+    (16, 16, 16, 64, 64, 2), (16, 32, 32, 64, 32, 1),
+    (3, 32, 32, 32, 32, 1), (5, 12, 20, 8, 6, 1),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=["x".join(map(str, s)) for s in CONV_SHAPES])
+def test_conv2d_bitwise_equals_whole_batch_im2col(shape, dtype):
+    """The chunked op and the whole-batch im2col oracle give the same bits:
+    the output and the x, w and b gradients."""
+    B, H, W, Cin, Cout, stride = shape
+
+    def run(fn):
+        rng = np.random.default_rng(17)
+        with N.dtype_mode(dtype):
+            ts = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in [(B, H, W, Cin), (Cout, Cin, 3, 3), (Cout,)]]
+            out = fn(*ts, stride=stride)
+            (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        return [out.data] + [t.grad for t in ts]
+
+    chunked, whole = run(N.conv2d), run(composed_conv2d)
+    assert chunked[0].dtype == dtype
+    for a, b in zip(chunked, whole):
+        assert a.tobytes() == b.tobytes()
+
+
+def _traced_bytes(fn):
+    """(bytes that fn()'s result still holds, peak bytes while it ran), as
+    tracemalloc sees numpy's allocations."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 -- kept alive while the memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
+def test_conv2d_keeps_no_column_matrix():
+    """A 64->32 conv at B=16 and 32 px has a 16*32*32 x 576 float32 column
+    matrix (37.7 MB): the graph holds less than half of it after a
+    grad-mode forward, and a no-grad forward never builds all of it."""
+    rng = np.random.default_rng(3)
+    with N.dtype_mode(np.float32):
+        x = Tensor(rng.normal(size=(16, 32, 32, 64)), requires_grad=True)
+        w = Tensor(rng.normal(size=(32, 64, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(32), requires_grad=True)
+    columns = 16 * 32 * 32 * 64 * 9 * 4
+    held, _ = _traced_bytes(lambda: N.conv2d(x, w, b))
+    assert held < columns / 2
+    with N.no_grad():
+        _, peak = _traced_bytes(lambda: N.conv2d(x, w, b))
+    assert peak < columns
 
 
 def test_group_norm_matches_per_group_normalisation():
