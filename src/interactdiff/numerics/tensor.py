@@ -4,7 +4,8 @@ The tape is implicit: each Tensor produced by an op keeps references to its
 parents and a closure that routes the incoming gradient to them.  backward()
 topologically sorts the graph and runs the closures in reverse, which makes
 gradient accumulation order deterministic for a fixed graph construction
-order.
+order.  A node keeps the first gradient passed to it, not a copy, and drops
+it once its closure has passed it on: after backward() only leaves hold one.
 
 Precision is float64 by default; float32 is an opt-in runtime mode
 (dtype_mode).  Inside no_grad() ops build no tape at all.
@@ -94,15 +95,20 @@ class Tensor:
     # -- tape ---------------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add `g` to .grad out of place.  The first `g` is kept, not copied
+        (cast only if its dtype differs): ops hand one array to several nodes,
+        so nothing may write into a .grad."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
 
     def backward(self) -> None:
-        """Populate .grad on every reachable requires_grad tensor.
+        """Add this graph's gradient to .grad of each leaf that requires one.
 
-        The root must be scalar.
+        The root must be scalar.  Each interior node's gradient is spent: it
+        is set to None as soon as the node's closure has passed it on, so
+        calling backward() twice on one graph adds the leaf gradients twice.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -127,6 +133,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar -----------------------------------------------------
 
@@ -371,11 +378,16 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
+# images per attention block; only p is built for the whole batch at once
+_ATTENTION_BLOCK = 1
+
+
 def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.  q: (B, Sq, D);
     k, v: (B, Sk, D); bias: optional additive Tensor broadcasting to the
     (B, H, Sq, Sk) logits.  Returns (B, Sq, D).  Backward keeps only the
-    probabilities p: dv = p^T g, ds = p * (g v^T - rowsum), dq, dk, dbias from ds.
+    probabilities p: dv = p^T g, ds = p * (g v^T - rowsum), dq, dk, dbias from
+    ds.  Both run _ATTENTION_BLOCK images at a time.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     B, Sq, D = q.data.shape
@@ -385,30 +397,47 @@ def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
     qh = (q.data * scale).reshape(B, Sq, n_heads, dh).transpose(0, 2, 1, 3)
     kt = k.data.reshape(B, Sk, n_heads, dh).transpose(0, 2, 3, 1)
     vh = v.data.reshape(B, Sk, n_heads, dh).transpose(0, 2, 1, 3)
-    p = qh @ kt
-    if bias is not None:
-        p += bias.data
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = (p @ vh).transpose(0, 2, 1, 3).reshape(B, Sq, D)
+    p = np.empty((B, n_heads, Sq, Sk), dtype=np.result_type(qh, kt))
+    blocks = [slice(lo, lo + _ATTENTION_BLOCK) for lo in range(0, B, _ATTENTION_BLOCK)]
+    out = np.empty((B, Sq, D), dtype=np.result_type(p, vh))
+    for s in blocks:
+        ps = np.matmul(qh[s], kt[s], out=p[s])
+        if bias is not None:
+            ps += np.broadcast_to(bias.data, p.shape)[s]
+        ps -= ps.max(axis=-1, keepdims=True)
+        np.exp(ps, out=ps)
+        ps /= ps.sum(axis=-1, keepdims=True)
+        out[s] = (ps @ vh[s]).transpose(0, 2, 1, 3).reshape(-1, Sq, D)
 
     def backward(g):
         g = g.reshape(B, Sq, n_heads, dh).transpose(0, 2, 1, 3)
-        if v.requires_grad:
-            gv = np.swapaxes(p, -1, -2) @ g
-            v._accumulate(gv.transpose(0, 2, 1, 3).reshape(B, Sk, D))
-        ds = g @ np.swapaxes(vh, -1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(ds, bias.data.shape))
-        if q.requires_grad:
-            gq = ds @ np.swapaxes(kt, -1, -2)
-            q._accumulate(gq.transpose(0, 2, 1, 3).reshape(B, Sq, D) * scale)
-        if k.requires_grad:
-            gk = np.swapaxes(qh, -1, -2) @ ds
-            k._accumulate(gk.transpose(0, 3, 1, 2).reshape(B, Sk, D))
+        gq, gk, gv = (np.empty_like(t.data, dtype=g.dtype) for t in (q, k, v))
+        # a bias with a batch axis sums ds over queries per block; one without
+        # sums it over images, then queries: _unbroadcast's order if ndim < 4
+        batched = bias is not None and bias.ndim == 4 and bias.shape[0] == B
+        gb = np.empty(bias.shape, dtype=g.dtype) if batched else None
+        for s in blocks:
+            gs, ps = g[s], p[s]
+            if v.requires_grad:
+                gv[s] = (np.swapaxes(ps, -1, -2) @ gs).transpose(0, 2, 1, 3).reshape(-1, Sk, D)
+            ds = gs @ np.swapaxes(vh[s], -1, -2)
+            ds -= (ds * ps).sum(axis=-1, keepdims=True)
+            ds *= ps
+            if bias is not None and bias.requires_grad:
+                if batched:
+                    gb[s] = _unbroadcast(ds, gb[s].shape)
+                else:
+                    for d in ds:
+                        gb = d if gb is None else gb + d
+            if q.requires_grad:
+                gq[s] = (ds @ np.swapaxes(kt[s], -1, -2)).transpose(0, 2, 1, 3).reshape(-1, Sq, D) * scale
+            if k.requires_grad:
+                gk[s] = (np.swapaxes(qh[s], -1, -2) @ ds).transpose(0, 3, 1, 2).reshape(-1, Sk, D)
+        if bias is not None and bias.requires_grad and not batched:
+            gb = _unbroadcast(gb, bias.shape[-3:]).reshape(bias.shape)
+        for t, gt in zip((v, bias, q, k), (gv, gb, gq, gk)):
+            if t is not None and t.requires_grad:
+                t._accumulate(gt)
 
     return _make(out, (q, k, v) if bias is None else (q, k, v, bias), backward, "attention")
 
@@ -469,8 +498,9 @@ def conv2d(x, w, b, stride: int = 1) -> Tensor:
     kernel row's kw*Cin entries are one contiguous run of the padded input and
     im2col is one copy of a strided view; the weight is permuted to match.
     The forward builds columns for about _CONV_CHUNK_ROWS output rows at a
-    time, and the node keeps only the padded input: backward rebuilds the
-    columns once for the weight gradient and adds the input gradient tap by tap.
+    time, and the node keeps only x, which its parent holds anyway: backward
+    pads x again and builds the columns once for the weight gradient, and adds
+    the input gradient tap by tap.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     B, H, W, Cin = x.data.shape
@@ -479,28 +509,28 @@ def conv2d(x, w, b, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: {x.data.shape} vs {w.data.shape}")
     Ho = (H + 2 - kh) // stride + 1
     Wo = (W + 2 - kw) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    s0, s1, s2, s3 = xp.strides
 
-    def im2col(lo, hi):
-        view = np.lib.stride_tricks.as_strided(xp[lo:], (min(hi, B) - lo, Ho, Wo, kh, kw * Cin),
+    def im2col(xp):
+        s0, s1, s2, s3 = xp.strides
+        view = np.lib.stride_tricks.as_strided(xp, (len(xp), Ho, Wo, kh, kw * Cin),
                                                (s0, s1 * stride, s2 * stride, s1, s3))
         return view.reshape(-1, kh * kw * Cin)
 
     wmat = w.data.transpose(0, 2, 3, 1).reshape(Cout, -1)
-    out = np.empty((B, Ho, Wo, Cout), dtype=np.result_type(xp, wmat))
+    out = np.empty((B, Ho, Wo, Cout), dtype=np.result_type(x.data, wmat))
     step = max(1, _CONV_CHUNK_ROWS // (Ho * Wo))
+    widths = ((0, 0), (1, 1), (1, 1), (0, 0))
+    xp = np.pad(x.data, widths)  # not kept: backward pads x again
     for lo in range(0, B, step):
-        np.matmul(im2col(lo, lo + step), wmat.T, out=out[lo:lo + step].reshape(-1, Cout))
+        np.matmul(im2col(xp[lo:lo + step]), wmat.T, out=out[lo:lo + step].reshape(-1, Cout))
     out += b.data
-    xp = xp if w.requires_grad else None  # the input gradient needs only g and wmat
 
     def backward(g):
         gmat = g.reshape(B * Ho * Wo, Cout)
         if b.requires_grad:
             b._accumulate(gmat.sum(axis=0))
         if w.requires_grad:
-            gw = gmat.T @ im2col(0, B)
+            gw = gmat.T @ im2col(np.pad(x.data, widths))
             w._accumulate(gw.reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2))
         if x.requires_grad:
             gxp = np.zeros((B, H + 2, W + 2, Cin), dtype=x.data.dtype)

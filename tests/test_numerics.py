@@ -86,15 +86,27 @@ ATTENTION_BIASES = {
         np.where(np.arange(Sk) < Sk - 1, 0.0, NEG_MASK)[None, None, None, :]
         * np.ones((B, 1, 1, 1))),
     "grad_bias": lambda rng, B, H, Sk: Tensor(rng.normal(size=(H, 1, Sk)), requires_grad=True),
+    # the model's: a learned per-head key bias on the last keys plus the mask
+    "model_bias": lambda rng, B, H, Sk: (
+        Tensor(rng.normal(size=H), requires_grad=True).reshape(H, 1, 1)
+        * Tensor(np.arange(Sk) >= Sk - 3).reshape(1, 1, Sk)
+        + Tensor(np.where(np.arange(Sk) < Sk - 1 - np.arange(B)[:, None], 0.0, NEG_MASK)[:, None, None, :])),
 }
+
+
+def _grad_leaves(t):
+    """The leaves under `t` that take a gradient (`t` itself if it is one)."""
+    if t is None or not t._parents:
+        return [t] if t is not None and t.requires_grad else []
+    return [leaf for p in t._parents for leaf in _grad_leaves(p)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", ATTENTION_BIASES)
 def test_attention_bitwise_equals_composed_graph(case, dtype):
     """The fused node and the composed oracle give the same bits: the output
-    and the q, k, v and bias gradients."""
-    B, Sq, Sk, D, H = 2, 5, 7, 8, 2
+    and the q, k, v and bias gradients, over a batch of several blocks."""
+    B, Sq, Sk, D, H = 2 * tensor._ATTENTION_BLOCK + 1, 5, 7, 8, 2
 
     def run(fn):
         rng = np.random.default_rng(31)
@@ -104,11 +116,11 @@ def test_attention_bitwise_equals_composed_graph(case, dtype):
             bias = ATTENTION_BIASES[case](rng, B, H, Sk)
             out = fn(q, k, v, H, bias)
             (out * Tensor(rng.normal(size=out.shape))).sum().backward()
-        grads = [t.grad for t in (q, k, v, bias) if t is not None and t.requires_grad]
+        grads = [t.grad for t in [q, k, v] + _grad_leaves(bias)]
         return [out.data] + grads
 
     fused, composed = run(N.attention), run(composed_attention)
-    assert fused[0].dtype == dtype and len(fused) == (5 if case == "grad_bias" else 4)
+    assert fused[0].dtype == dtype and len(fused) == 4 + (case in ("grad_bias", "model_bias"))
     for a, b in zip(fused, composed):
         assert a.tobytes() == b.tobytes()
 
@@ -170,6 +182,44 @@ class TestBackward:
         assert out._backward is not None
         out.sum().backward()
         assert w.grad[0] == 4.0
+
+    def test_backward_twice_adds_the_leaf_gradient_twice(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * 2.0).sum()
+        loss.backward()
+        loss.backward()
+        assert np.array_equal(x.grad, [4.0, 4.0])
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_gradient_handed_to_two_parents_is_not_written_into(self, add_first):
+        """add hands one gradient array to both parents; a second
+        contribution to one of them leaves the other's gradient unchanged."""
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        shared, again = (a + b).sum(), (a * 5.0).sum()
+        (shared + again if add_first else again + shared).backward()
+        assert np.array_equal(a.grad, [6.0, 6.0])
+        assert np.array_equal(b.grad, [1.0, 1.0])
+
+    def test_only_leaves_keep_a_gradient(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        c = Tensor(rng.normal(size=(4,)))
+        loss = (N.tanh(N.attention(x @ w, x, x + c, 2)) * x).sum()
+        loss.backward()
+        nodes, stack = set(), [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in nodes:
+                nodes.add(id(t))
+                stack.extend(t._parents)
+                if t._parents:
+                    assert t.grad is None, t._op
+                else:
+                    assert (t.grad is not None) == t.requires_grad
+                    assert t.grad is None or t.grad.shape == t.shape
+        assert len(nodes) > 8
 
 
 def _rand(shape):
@@ -336,19 +386,38 @@ def _traced_bytes(fn):
 
 def test_conv2d_keeps_no_column_matrix():
     """A 64->32 conv at B=16 and 32 px has a 16*32*32 x 576 float32 column
-    matrix (37.7 MB): the graph holds less than half of it after a
-    grad-mode forward, and a no-grad forward never builds all of it."""
+    matrix (37.7 MB): after a grad-mode forward the graph holds the output
+    and neither the columns nor the padded input (4.7 MB), and a no-grad
+    forward never builds all of the columns."""
     rng = np.random.default_rng(3)
     with N.dtype_mode(np.float32):
         x = Tensor(rng.normal(size=(16, 32, 32, 64)), requires_grad=True)
         w = Tensor(rng.normal(size=(32, 64, 3, 3)), requires_grad=True)
         b = Tensor(np.zeros(32), requires_grad=True)
     columns = 16 * 32 * 32 * 64 * 9 * 4
+    padded = 16 * 34 * 34 * 64 * 4
     held, _ = _traced_bytes(lambda: N.conv2d(x, w, b))
-    assert held < columns / 2
+    assert held < 16 * 32 * 32 * 32 * 4 + padded / 2
     with N.no_grad():
         _, peak = _traced_bytes(lambda: N.conv2d(x, w, b))
     assert peak < columns
+
+
+def test_attention_backward_builds_no_whole_batch_temporaries():
+    """At B=16, 4 heads, 256 queries and 268 keys the (B, H, Sq, Sk)
+    float32 probabilities take 17.6 MB: backward, the model's batched key
+    bias included, peaks less than one such array above what the graph held
+    before it."""
+    rng = np.random.default_rng(5)
+    B, H, Sq, Sk, D = 16, 4, 256, 268, 64
+    with N.dtype_mode(np.float32):
+        q = Tensor(rng.normal(size=(B, Sq, D)), requires_grad=True)
+        k, v = (Tensor(rng.normal(size=(B, Sk, D)), requires_grad=True) for _ in "kv")
+        bias = Tensor(rng.normal(size=(B, H, 1, Sk)), requires_grad=True)
+        loss = (N.attention(q, k, v, H, bias) * Tensor(rng.normal(size=(B, Sq, D)))).sum()
+    _, peak = _traced_bytes(loss.backward)
+    assert all(t.grad is not None for t in (q, k, v, bias))
+    assert peak < B * H * Sq * Sk * 4
 
 
 def test_group_norm_matches_per_group_normalisation():
