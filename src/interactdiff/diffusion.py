@@ -335,7 +335,6 @@ def train_phase(
         writer.writerow(["step", "phase", "loss", "lr"])
     final_path = os.path.join(out_dir, f"phase{phase}_final.ckpt")
     try:
-        model.store.zero_grad()
         for step in range(start_step + 1, steps + 1):
             rng = _step_rng(tcfg.train_seed, phase, step)
             batch = make_batch(
@@ -348,6 +347,9 @@ def train_phase(
                     f"non-finite loss at phase {phase} step {step}; "
                     f"batch rng key ({tcfg.train_seed},{phase},{step})"
                 )
+            # drop the last step's gradients only now, while this step's graph
+            # lives: freed after it, they unpin the heap top and glibc trims it
+            model.store.zero_grad()
             loss.backward()
             del loss  # this step's graph: free it before the next forward
             warm = min(1.0, step / max(tcfg.warmup_steps, 1))
@@ -361,7 +363,6 @@ def train_phase(
                 decay = 1.0
             lr = tcfg.lr * warm * decay
             adam_step(model.store, lr, step)
-            model.store.zero_grad()
             if step % tcfg.log_every == 0 or step == steps:
                 writer.writerow([step, phase, f"{loss_val:.6f}", f"{lr:.2e}"])
                 metrics.flush()
@@ -370,6 +371,7 @@ def train_phase(
                     os.path.join(out_dir, f"phase{phase}_step{step:06d}.ckpt"),
                     extra_meta={"phase": phase, "step": step, "train": asdict(tcfg)},
                 )
+        model.store.zero_grad()
         model.save(final_path, extra_meta={"phase": phase, "step": steps, "train": asdict(tcfg)})
     finally:
         metrics.close()

@@ -6,6 +6,8 @@ topologically sorts the graph and runs the closures in reverse, which makes
 gradient accumulation order deterministic for a fixed graph construction
 order.  A node keeps the first gradient passed to it, not a copy, and drops
 it once its closure has passed it on: after backward() only leaves hold one.
+A closure keeps its parents, its output, per-row statistics and attention's
+probabilities; cheaper intermediates are recomputed in backward.
 
 Precision is float64 by default; float32 is an opt-in runtime mode
 (dtype_mode).  Inside no_grad() ops build no tape at all.
@@ -251,12 +253,13 @@ def tanh(a) -> Tensor:
 
 
 def silu(a) -> Tensor:
+    """x * sigmoid(x); backward recomputes the sigmoid with the same expression."""
     a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    data = a.data * s
+    data = a.data * (1.0 / (1.0 + np.exp(-a.data)))
 
     def backward(g):
         if a.requires_grad:
+            s = 1.0 / (1.0 + np.exp(-a.data))
             a._accumulate(g * s * (1.0 + a.data * (1.0 - s)))
 
     return _make(data, (a,), backward, "silu")
@@ -270,14 +273,10 @@ def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
+        if a.requires_grad:
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.data.shape))
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return _make(np.asarray(data), (a,), backward, "sum")
 
@@ -344,11 +343,15 @@ def take(a, idx) -> Tensor:
     """Basic slicing / integer-array indexing."""
     a = as_tensor(a)
     data = a.data[idx]
+    view = np.may_share_memory(data, a.data)  # basic indices: no repeats
 
     def backward(g):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
+            if view:
+                buf[idx] += g
+            else:  # integer-array ids may repeat: add.at sums them
+                np.add.at(buf, idx, g)
             a._accumulate(buf)
 
     return _make(np.asarray(data), (a,), backward, "take")
@@ -387,21 +390,25 @@ def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
     k, v: (B, Sk, D); bias: optional additive Tensor broadcasting to the
     (B, H, Sq, Sk) logits.  Returns (B, Sq, D).  Backward keeps only the
     probabilities p: dv = p^T g, ds = p * (g v^T - rowsum), dq, dk, dbias from
-    ds.  Both run _ATTENTION_BLOCK images at a time.
+    ds.  Both run _ATTENTION_BLOCK images at a time and scale that block's q
+    when they use it: no scaled copy of the whole q is kept.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     B, Sq, D = q.data.shape
     Sk = k.data.shape[1]
     dh = D // n_heads
     scale = 1.0 / math.sqrt(dh)
-    qh = (q.data * scale).reshape(B, Sq, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def qh(s):
+        return (q.data[s] * scale).reshape(-1, Sq, n_heads, dh).transpose(0, 2, 1, 3)
+
     kt = k.data.reshape(B, Sk, n_heads, dh).transpose(0, 2, 3, 1)
     vh = v.data.reshape(B, Sk, n_heads, dh).transpose(0, 2, 1, 3)
-    p = np.empty((B, n_heads, Sq, Sk), dtype=np.result_type(qh, kt))
+    p = np.empty((B, n_heads, Sq, Sk), dtype=np.result_type(q.data, kt))
     blocks = [slice(lo, lo + _ATTENTION_BLOCK) for lo in range(0, B, _ATTENTION_BLOCK)]
     out = np.empty((B, Sq, D), dtype=np.result_type(p, vh))
     for s in blocks:
-        ps = np.matmul(qh[s], kt[s], out=p[s])
+        ps = np.matmul(qh(s), kt[s], out=p[s])
         if bias is not None:
             ps += np.broadcast_to(bias.data, p.shape)[s]
         ps -= ps.max(axis=-1, keepdims=True)
@@ -432,7 +439,7 @@ def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
             if q.requires_grad:
                 gq[s] = (ds @ np.swapaxes(kt[s], -1, -2)).transpose(0, 2, 1, 3).reshape(-1, Sq, D) * scale
             if k.requires_grad:
-                gk[s] = (np.swapaxes(qh[s], -1, -2) @ ds).transpose(0, 3, 1, 2).reshape(-1, Sk, D)
+                gk[s] = (np.swapaxes(qh(s), -1, -2) @ ds).transpose(0, 3, 1, 2).reshape(-1, Sk, D)
         if bias is not None and bias.requires_grad and not batched:
             gb = _unbroadcast(gb, bias.shape[-3:]).reshape(bias.shape)
         for t, gt in zip((v, bias, q, k), (gv, gb, gq, gk)):
@@ -446,7 +453,8 @@ def layer_norm(x, gain, bias, groups=None) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, eps 1e-5,
     then affine.  With `groups` (GroupNorm), x is channels-last (B, H, W, C)
     with (C,) gain and bias, normalized over axes (1, 3) of a
-    (B, H*W, groups, C/groups) view."""
+    (B, H*W, groups, C/groups) view.  The node keeps each row's mean and
+    inverse deviation; backward recomputes the normalized x from them."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     shape = x.data.shape
     axes, view, affine = (-1,), shape, gain.data.shape
@@ -464,13 +472,12 @@ def layer_norm(x, gain, bias, groups=None) -> Tensor:
 
     mu = mean(xd)
     xc = xd - mu
-    var = mean(xc * xc)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    data = (gd * xhat + bd).reshape(shape)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + 1e-5)
+    data = (gd * (xc * inv) + bd).reshape(shape)
 
     def backward(g):
         g = g.reshape(view)
+        xhat = (xd - mu) * inv
         if gain.requires_grad:
             gain._accumulate(_unbroadcast(g * xhat, affine).reshape(gain.data.shape))
         if bias.requires_grad:
@@ -499,8 +506,9 @@ def conv2d(x, w, b, stride: int = 1) -> Tensor:
     im2col is one copy of a strided view; the weight is permuted to match.
     The forward builds columns for about _CONV_CHUNK_ROWS output rows at a
     time, and the node keeps only x, which its parent holds anyway: backward
-    pads x again and builds the columns once for the weight gradient, and adds
-    the input gradient tap by tap.
+    pads x again and builds no columns.  It goes tap by tap, one
+    (Cout, Cin) GEMM of the gradient with that tap's window of the padded x
+    for the weight gradient, one for the tap's share of the input gradient.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     B, H, W, Cin = x.data.shape
@@ -530,14 +538,19 @@ def conv2d(x, w, b, stride: int = 1) -> Tensor:
         if b.requires_grad:
             b._accumulate(gmat.sum(axis=0))
         if w.requires_grad:
-            gw = gmat.T @ im2col(np.pad(x.data, widths))
-            w._accumulate(gw.reshape(Cout, kh, kw, Cin).transpose(0, 3, 1, 2))
+            xp, gw = np.pad(x.data, widths), np.empty((Cout, kh, kw, Cin), np.result_type(g, x.data))
         if x.requires_grad:
             gxp = np.zeros((B, H + 2, W + 2, Cin), dtype=x.data.dtype)
-            for t in range(kh * kw):
-                i, j = divmod(t, kw)
-                gxp[:, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += (
-                    gmat @ wmat[:, t * Cin:(t + 1) * Cin]).reshape(B, Ho, Wo, Cin)
+        for t in range(kh * kw):
+            i, j = divmod(t, kw)
+            win = (slice(None), slice(i, i + stride * Ho, stride), slice(j, j + stride * Wo, stride))
+            if w.requires_grad:
+                gw[:, i, j] = gmat.T @ xp[win].reshape(-1, Cin)
+            if x.requires_grad:
+                gxp[win] += (gmat @ wmat[:, t * Cin:(t + 1) * Cin]).reshape(B, Ho, Wo, Cin)
+        if w.requires_grad:
+            w._accumulate(gw.transpose(0, 3, 1, 2))
+        if x.requires_grad:
             x._accumulate(gxp[:, 1:-1, 1:-1])
 
     return _make(out, (x, w, b), backward, "conv2d")

@@ -95,7 +95,10 @@ def composed_conv2d(x, w, b, stride=1):
     (B*Ho*Wo, kh*kw*Cin) column matrix kept for backward, one GEMM each for
     the output and the weight and column gradients, and col2im that adds the
     column gradient's slices back in tap order.  `numerics.conv2d` must
-    match it bit for bit, forward and backward."""
+    match it bit for bit, forward and backward, except for the gradients of
+    3-wide convs at batches up to 8, whose per-tap GEMMs OpenBLAS may run
+    with another kernel
+    (test_conv2d_small_batch_three_wide_weight_gradient_within_rounding)."""
     B, H, W, Cin = x.data.shape
     Cout, _, kh, kw = w.data.shape
     Ho = (H + 2 - kh) // stride + 1

@@ -372,6 +372,39 @@ def test_conv2d_bitwise_equals_whole_batch_im2col(shape, dtype):
         assert a.tobytes() == b.tobytes()
 
 
+# The two 3-wide convs at B = 2.  At batches 2-8 OpenBLAS runs their
+# per-tap weight-gradient GEMMs, (Cout, Cin) = (32, 3) and (3, 32), with
+# another kernel than the oracle's one (Cout, 9 Cin) GEMM, so the last bits
+# differ (at B = 1 and 16 they agree).  Measured normwise error of the w
+# gradient: 1.5e-6 and 9.1e-7 in float32, 1.9e-15 and 2.1e-15 in float64.
+# The 3->32 conv's x gradient differed from the oracle before the per-tap
+# weight gradient too (1.7e-7 in float32), from its per-tap GEMM.
+SMALL_BATCH_CONVS = [(2, 32, 32, 3, 32, 1), (2, 32, 32, 32, 3, 1)]
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("shape", SMALL_BATCH_CONVS, ids=["x".join(map(str, s)) for s in SMALL_BATCH_CONVS])
+def test_conv2d_small_batch_three_wide_weight_gradient_within_rounding(shape, dtype, rtol):
+    """The output and the b gradient stay bitwise; the x and w gradients
+    agree with the oracle to rtol of their largest entry."""
+    B, H, W, Cin, Cout, stride = shape
+
+    def run(fn):
+        rng = np.random.default_rng(17)
+        with N.dtype_mode(dtype):
+            ts = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in [(B, H, W, Cin), (Cout, Cin, 3, 3), (Cout,)]]
+            out = fn(*ts, stride=stride)
+            (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        return [out.data] + [t.grad for t in ts]
+
+    (out, gx, gw, gb), (want, wx, ww, wb) = run(N.conv2d), run(composed_conv2d)
+    assert out.tobytes() == want.tobytes() and gb.tobytes() == wb.tobytes()
+    for got, ref in ((gx, wx), (gw, ww)):
+        assert got.dtype == dtype
+        assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
 def _traced_bytes(fn):
     """(bytes that fn()'s result still holds, peak bytes while it ran), as
     tracemalloc sees numpy's allocations."""
@@ -387,8 +420,11 @@ def _traced_bytes(fn):
 def test_conv2d_keeps_no_column_matrix():
     """A 64->32 conv at B=16 and 32 px has a 16*32*32 x 576 float32 column
     matrix (37.7 MB): after a grad-mode forward the graph holds the output
-    and neither the columns nor the padded input (4.7 MB), and a no-grad
-    forward never builds all of the columns."""
+    and neither the columns nor the padded input (4.7 MB), a no-grad
+    forward never builds all of the columns, and backward, which goes tap
+    by tap, peaks less than a quarter of the columns above the graph and
+    the gradients it leaves (the padded x, its gradient and one tap's
+    window)."""
     rng = np.random.default_rng(3)
     with N.dtype_mode(np.float32):
         x = Tensor(rng.normal(size=(16, 32, 32, 64)), requires_grad=True)
@@ -401,6 +437,47 @@ def test_conv2d_keeps_no_column_matrix():
     with N.no_grad():
         _, peak = _traced_bytes(lambda: N.conv2d(x, w, b))
     assert peak < columns
+    out = N.conv2d(x, w, b)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    held, peak = _traced_bytes(lambda: out._backward(g))
+    assert all(t.grad is not None for t in (x, w, b))
+    assert peak - held < columns / 4
+
+
+# (x shape, groups) at the model's widths: a token LayerNorm and two GroupNorms
+NORM_SHAPES = [((16, 256, 64), None), ((16, 32, 32, 32), 8), ((16, 16, 16, 64), 8)]
+
+
+@pytest.mark.parametrize("shape,groups", NORM_SHAPES, ids=["x".join(map(str, s)) for s, _ in NORM_SHAPES])
+def test_elementwise_nodes_keep_only_their_output(shape, groups):
+    """After a grad-mode forward, silu holds its output and layer_norm its
+    output plus two float32 numbers per normalized row (mean and inverse
+    deviation): backward recomputes the sigmoid and the normalized x."""
+    rng = np.random.default_rng(4)
+    with N.dtype_mode(np.float32):
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        gain, bias = (Tensor(rng.normal(size=shape[-1]), requires_grad=True) for _ in "gb")
+    rows = x.size // (shape[-1] if groups is None else shape[1] * shape[2] * shape[3] // groups)
+    slack = 4096  # array headers and the closure's cells
+    for fn, extra in ((lambda: N.silu(x), 0),
+                      (lambda: N.layer_norm(x, gain, bias, groups=groups), 2 * rows * 4)):
+        out = []
+        held, _ = _traced_bytes(lambda: out.append(fn()))
+        assert out[0]._backward is not None
+        assert held <= out[0].data.nbytes + extra + slack
+
+
+def test_attention_keeps_only_probabilities_and_output():
+    """A grad-mode attention node holds its (B, H, Sq, Sk) probabilities and
+    its output, and no scaled copy of q."""
+    rng = np.random.default_rng(5)
+    B, H, Sq, Sk, D = 16, 4, 256, 268, 64
+    with N.dtype_mode(np.float32):
+        q = Tensor(rng.normal(size=(B, Sq, D)), requires_grad=True)
+        k, v = (Tensor(rng.normal(size=(B, Sk, D)), requires_grad=True) for _ in "kv")
+        bias = Tensor(rng.normal(size=(B, H, 1, Sk)), requires_grad=True)
+    held, _ = _traced_bytes(lambda: N.attention(q, k, v, H, bias))
+    assert held <= (B * H * Sq * Sk + B * Sq * D) * 4 + 64 * 1024
 
 
 def test_attention_backward_builds_no_whole_batch_temporaries():
@@ -450,6 +527,20 @@ def test_embedding_gradient():
     expect[1] += 1
     expect[2] += 2
     assert np.array_equal(table.grad, expect)
+
+
+def test_slice_gradient_bitwise_equals_add_at():
+    """A basic (slice) index adds its gradient in place, with the bits of
+    np.add.at (integer-array ids, which may repeat, keep np.add.at:
+    test_embedding_gradient)."""
+    rng = np.random.default_rng(9)
+    with N.dtype_mode(np.float32):
+        a = Tensor(rng.normal(size=(4, 7, 16)), requires_grad=True)
+        g = rng.normal(size=(4, 3, 16)).astype(np.float32)
+        (N.take(a, (slice(None), slice(None, 3))) * Tensor(g)).sum().backward()
+    want = np.zeros_like(a.data)
+    np.add.at(want, (slice(None), slice(None, 3)), g)
+    assert a.grad.tobytes() == want.tobytes()
 
 
 class TestAdam:
