@@ -12,7 +12,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .scenes import (
     write_dataset,
     write_ppm,
 )
-
-SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +164,18 @@ def _validate(cfg: RunConfig) -> None:
 def _write_config_echo(cfg: RunConfig, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "run_config.json"), "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, "config": cfg.to_dict()}, fh,
-                  indent=2, sort_keys=True)
+        json.dump({"config": cfg.to_dict()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _check_against(ckpt, part, saved: dict) -> None:
+    """Raise ConfigError naming each key whose value in `part`, a ModelConfig
+    or TrainConfig of this run, differs from the one checkpoint `ckpt`
+    recorded in `saved`."""
+    bad = [f"{key} = {value} (checkpoint: {saved[key]})"
+           for key, value in asdict(part).items() if key in saved and saved[key] != value]
+    if bad:
+        raise ConfigError(f"the config differs from {ckpt}: " + ", ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +228,8 @@ def _cmd_train(args, cfg: RunConfig) -> int:
                               "checkpoint (phase 2 starts from phase 1 with --base-ckpt)")
         phases = [1, 2] if args.phase == "both" and first == 1 else [first]
         start = int(meta.get("step", 0))
+        _check_against(args.resume, cfg.model_config(), asdict(model.config))
+        _check_against(args.resume, tcfg, meta.get("train", {}))
     elif phases == [2]:
         base = args.base_ckpt or os.path.join(args.out, "phase1_final.ckpt")
         if not os.path.exists(base):
@@ -229,6 +238,7 @@ def _cmd_train(args, cfg: RunConfig) -> int:
                 "(run --phase 1 first or pass --base-ckpt)"
             )
         model, _ = InteractionDiffusionModel.load(base)
+        _check_against(base, cfg.model_config(), asdict(model.config))
     else:
         model = InteractionDiffusionModel(cfg.model_config())
     dataset = _load_pairs(args.data, model.config.n_max, model.config.image_size)
@@ -278,8 +288,7 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
     specs = [scene for _, _, scene in itertools.islice(records, args.count)]
     if not specs:
         raise DataError(f"no conditions in {args.scene_json}")
-    os.makedirs(args.out, exist_ok=True)
-    _write_config_echo(cfg, args.out)
+    _write_config_echo(dataclasses.replace(cfg, **asdict(model.config)), args.out)
     (images,), draws = _sample_batched(model, specs, cfg, [cfg.omega], cfg.sample_seed)
     for i, (spec, img, (seed, batch_index)) in enumerate(zip(specs, images, draws)):
         name = f"sample_{i:05d}"
@@ -290,7 +299,6 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
         sidecar["steps"] = cfg.steps
         sidecar["seed"] = seed
         sidecar["batch_index"] = batch_index
-        sidecar["schema_version"] = SCHEMA_VERSION
         with open(os.path.join(args.out, f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, sort_keys=True)
             fh.write("\n")
@@ -341,8 +349,9 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     pairs = pairs[: cfg.eval_count]
     specs = [p[0] for p in pairs]
     real_images = [p[1] for p in pairs]
-    os.makedirs(args.out, exist_ok=True)
-    _write_config_echo(cfg, args.out)
+    # the echo records the model that runs: a checkpoint's, not the config's
+    echo = cfg if model is None else dataclasses.replace(cfg, **asdict(model.config))
+    _write_config_echo(echo, args.out)
     # the real images' scores do not depend on omega: score them once
     real_scores, feats_real = [], None
     if args.use_renders or len(real_images) >= KID_MIN_SAMPLES:
@@ -351,21 +360,16 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         feats_real = np.stack([feats for _, feats in real_scores])
     if args.use_renders:
         report = _report(real_scores, specs, feats_real)
-        report.config_echo.update(cfg.to_dict())
         with open(os.path.join(args.out, "report_renders.json"), "w") as fh:
             fh.write(report.to_json() + "\n")
-        report.write_csv(os.path.join(args.out, "per_class_ap_renders.csv"))
         print(f"renders: map_full={report.map_full:.4f} map_rare={report.map_rare:.4f}")
         return 0
     rows = []
     sweep, _ = _sample_batched(model, specs, cfg, omegas, cfg.sample_seed)
     for omega, tag, images in zip(omegas, tags, sweep):
         report = evaluate_images(images, specs, feats_real)
-        report.config_echo.update(cfg.to_dict())
-        report.config_echo["omega"] = omega
         with open(os.path.join(args.out, f"report_{tag}.json"), "w") as fh:
             fh.write(report.to_json() + "\n")
-        report.write_csv(os.path.join(args.out, f"per_class_ap_{tag}.csv"))
         kid_txt = "n/a" if report.kid is None else f"{report.kid:.6f}"
         rows.append((omega, report.map_full, report.map_rare, kid_txt))
         print(

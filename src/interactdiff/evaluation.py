@@ -8,9 +8,8 @@ across two image sets.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,26 +30,20 @@ class EvalReport:
     kid: float | None
     kid_stderr: float | None
     sample_count: int
-    config_echo: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
+        """The report as JSON, `per_class_ap` keyed by label names,
+        "subject/action/object"."""
         obj = {
             "map_full": self.map_full,
             "map_rare": self.map_rare,
             "kid": self.kid,
             "kid_stderr": self.kid_stderr,
             "sample_count": self.sample_count,
-            "config": self.config_echo,
-            "per_class_ap": {"/".join(map(str, k)): v for k, v in self.per_class_ap.items()},
+            "per_class_ap": {"/".join(map(VOCAB.token, k)): v
+                             for k, v in self.per_class_ap.items()},
         }
         return json.dumps(obj, sort_keys=True, indent=2)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["subject", "action", "object", "ap"])
-            for (s, a, o), ap in sorted(self.per_class_ap.items()):
-                writer.writerow([VOCAB.token(s), VOCAB.token(a), VOCAB.token(o), f"{ap:.6f}"])
 
 
 def _ap_from_matches(tp_flags: list[bool], n_gt: int) -> float:

@@ -5,12 +5,13 @@ Checkpoint layout:
     magic "IDCK" | u32 version (3) | u32 header length | header JSON (UTF-8)
     | arrays, raw and little-endian, back to back
 
-The header is {"params": [{"name", "dtype", "shape", "frozen"}, ...],
-"moments": [name, ...], "meta": {...}}, with dtype "f4" or "f8".  The
-arrays follow in header order: every parameter, then the Adam m and v of
-each name in "moments" (trainable ones only), in its parameter's dtype
-and shape.  Round trips are bit-exact, and the little-endian payload keeps
-checkpoints portable across machine byte orders.
+The header is {"params": [{"name", "dtype", "shape"}, ...],
+"moments": [name, ...], "meta": {...}}, with dtype "f4" or "f8"; other
+keys are ignored.  The arrays follow in header order: every parameter,
+then the Adam m and v of each name in "moments" (trainable ones only), in
+its parameter's dtype and shape.  Round trips are bit-exact, and the
+little-endian payload keeps checkpoints portable across machine byte
+orders.  Trainability is not stored: each training phase sets it.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ class ParameterStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # Adam (m, v)
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
@@ -65,8 +65,7 @@ class ParameterStore:
             if name.startswith(prefix):
                 t.requires_grad = False
                 t.grad = None
-                self._m.pop(name, None)
-                self._v.pop(name, None)
+                self.moments.pop(name, None)
 
     def unfreeze(self, prefix: str = "") -> None:
         for name, t in self._params.items():
@@ -74,8 +73,8 @@ class ParameterStore:
                 t.requires_grad = True
 
     def load_state(self, other: "ParameterStore") -> None:
-        """Take over `other`'s parameter values, frozen flags and Adam
-        moments, e.g. a store read by load_checkpoint.
+        """Take over `other`'s parameter values and Adam moments, e.g. a
+        store read by load_checkpoint.  Trainability stays this store's.
 
         It updates this store's Tensors in place (their .data), because
         layers hold references to them.
@@ -94,9 +93,8 @@ class ParameterStore:
             )
         for name, t in self._params.items():
             t.data = other[name].data
-            t.requires_grad = other[name].requires_grad
             t.grad = None
-        self._m, self._v = other._m, other._v
+        self.moments = other.moments
 
     def zero_grad(self) -> None:
         for t in self._params.values():
@@ -129,12 +127,9 @@ def adam_step(store: ParameterStore, lr: float, step: int) -> None:
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient; run backward first")
         g = p.grad
-        m = store._m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            store._m[name] = m
-            store._v[name] = np.zeros_like(p.data)
-        v = store._v[name]
+        if name not in store.moments:
+            store.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = store.moments[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -148,17 +143,17 @@ def save_checkpoint(store: ParameterStore, path, meta: dict | None = None) -> No
     """Write `store` and `meta` to `path` in the layout of the module
     docstring; a failed or interrupted write leaves `path` as it was."""
     codes = {name: _CODES[p.data.dtype] for name, p in store.items()}
-    moments = sorted(store._m)
+    moments = sorted(store.moments)
     header = {
-        "params": [{"name": name, "dtype": codes[name], "shape": list(p.shape),
-                    "frozen": not p.requires_grad} for name, p in store.items()],
+        "params": [{"name": name, "dtype": codes[name], "shape": list(p.shape)}
+                   for name, p in store.items()],
         "moments": moments,
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     out = bytearray(_PREFIX.pack(_MAGIC, _VERSION, len(blob)) + blob)
     arrays = [(name, p.data) for name, p in store.items()]
-    arrays += [(name, a) for name in moments for a in (store._m[name], store._v[name])]
+    arrays += [(name, a) for name in moments for a in store.moments[name]]
     for name, a in arrays:
         out += a.astype("<" + codes[name], copy=False).tobytes()
     # write a sibling temp file and rename it over `path`
@@ -200,16 +195,16 @@ def _parse_checkpoint(buf: bytes) -> tuple[ParameterStore, dict]:
     start = _PREFIX.size + header_len
     try:
         h = json.loads(buf[_PREFIX.size : start].decode("utf-8"))
-        params = [(p["name"], p["dtype"], tuple(p["shape"]), p["frozen"]) for p in h["params"]]
+        params = [(p["name"], p["dtype"], tuple(p["shape"])) for p in h["params"]]
         moments, meta = h["moments"], h["meta"]
         unknown = set(moments) - {p[0] for p in params}
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise CheckpointError(f"malformed header: {exc}") from exc
     layout = {}
-    for name, code, shape, frozen in params:
+    for name, code, shape in params:
         if code not in _CODES.values():
             raise CheckpointError(f"unknown dtype {code!r} of parameter {name!r}")
-        if not (isinstance(name, str) and name not in layout and isinstance(frozen, bool)
+        if not (isinstance(name, str) and name not in layout
                 and all(isinstance(d, int) and d >= 0 for d in shape)):
             raise CheckpointError(f"malformed or repeated header entry for parameter {name!r}")
         layout[name] = (np.dtype("<" + code), shape)
@@ -227,9 +222,8 @@ def _parse_checkpoint(buf: bytes) -> tuple[ParameterStore, dict]:
         arrays.append(np.frombuffer(buf, dt, count, start).reshape(shape).astype(dt.newbyteorder("=")))
         start += count * dt.itemsize
     store = ParameterStore()
-    for (name, _, _, frozen), arr in zip(params, arrays):
-        store.add(name, Tensor(arr, dtype=arr.dtype)).requires_grad = not frozen
+    for name, arr in zip(layout, arrays):
+        store.add(name, Tensor(arr, dtype=arr.dtype))
     n = len(params)
-    for name, m, v in zip(moments, arrays[n::2], arrays[n + 1 :: 2]):
-        store._m[name], store._v[name] = m, v
+    store.moments = dict(zip(moments, zip(arrays[n::2], arrays[n + 1 :: 2])))
     return store, meta

@@ -171,13 +171,13 @@ class Tensor:
         return reshape(self, shape)
 
     def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
+        return transpose(self, axes)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
+    def sum(self):
+        return reduce_sum(self)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
+    def mean(self):
+        return reduce_mean(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -268,28 +268,20 @@ def silu(a) -> Tensor:
 # -- reductions -------------------------------------------------------------
 
 
-def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
+def reduce_sum(a) -> Tensor:
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum()
 
     def backward(g):
         if a.requires_grad:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return _make(np.asarray(data), (a,), backward, "sum")
 
 
-def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
+def reduce_mean(a) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.data.shape[i] for i in axis]))
-    else:
-        n = a.data.shape[axis]
-    return mul(reduce_sum(a, axis, keepdims), 1.0 / n)
+    return mul(reduce_sum(a), 1.0 / a.data.size)
 
 
 # -- shape ops --------------------------------------------------------------
@@ -309,12 +301,10 @@ def reshape(a, shape) -> Tensor:
     return _make(data, (a,), backward, "reshape")
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    if axes is not None and len(axes) == 0:
-        axes = None
     data = np.transpose(a.data, axes)
-    inv = None if axes is None else np.argsort(axes)
+    inv = np.argsort(axes)
 
     def backward(g):
         if a.requires_grad:
@@ -387,15 +377,18 @@ _ATTENTION_BLOCK = 1
 
 def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.  q: (B, Sq, D);
-    k, v: (B, Sk, D); bias: optional additive Tensor broadcasting to the
-    (B, H, Sq, Sk) logits.  Returns (B, Sq, D).  Backward keeps only the
-    probabilities p: dv = p^T g, ds = p * (g v^T - rowsum), dq, dk, dbias from
-    ds.  Both run _ATTENTION_BLOCK images at a time and scale that block's q
-    when they use it: no scaled copy of the whole q is kept.
+    k, v: (B, Sk, D); bias: optional additive 4-d Tensor with the batch
+    axis, broadcasting to the (B, H, Sq, Sk) logits (ShapeError otherwise).
+    Returns (B, Sq, D).  Backward keeps only the probabilities p:
+    dv = p^T g, ds = p * (g v^T - rowsum), dq, dk, dbias from ds.  Both run
+    _ATTENTION_BLOCK images at a time and scale that block's q when they use
+    it: no scaled copy of the whole q is kept.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     B, Sq, D = q.data.shape
     Sk = k.data.shape[1]
+    if bias is not None and (bias.ndim != 4 or bias.shape[0] != B):
+        raise ShapeError(f"attention bias {bias.shape} has no batch axis of {B}")
     dh = D // n_heads
     scale = 1.0 / math.sqrt(dh)
 
@@ -419,10 +412,7 @@ def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
     def backward(g):
         g = g.reshape(B, Sq, n_heads, dh).transpose(0, 2, 1, 3)
         gq, gk, gv = (np.empty_like(t.data, dtype=g.dtype) for t in (q, k, v))
-        # a bias with a batch axis sums ds over queries per block; one without
-        # sums it over images, then queries: _unbroadcast's order if ndim < 4
-        batched = bias is not None and bias.ndim == 4 and bias.shape[0] == B
-        gb = np.empty(bias.shape, dtype=g.dtype) if batched else None
+        gb = None if bias is None else np.empty(bias.shape, dtype=g.dtype)
         for s in blocks:
             gs, ps = g[s], p[s]
             if v.requires_grad:
@@ -431,17 +421,11 @@ def attention(q, k, v, n_heads: int, bias=None) -> Tensor:
             ds -= (ds * ps).sum(axis=-1, keepdims=True)
             ds *= ps
             if bias is not None and bias.requires_grad:
-                if batched:
-                    gb[s] = _unbroadcast(ds, gb[s].shape)
-                else:
-                    for d in ds:
-                        gb = d if gb is None else gb + d
+                gb[s] = _unbroadcast(ds, gb[s].shape)
             if q.requires_grad:
                 gq[s] = (ds @ np.swapaxes(kt[s], -1, -2)).transpose(0, 2, 1, 3).reshape(-1, Sq, D) * scale
             if k.requires_grad:
                 gk[s] = (np.swapaxes(qh(s), -1, -2) @ ds).transpose(0, 3, 1, 2).reshape(-1, Sk, D)
-        if bias is not None and bias.requires_grad and not batched:
-            gb = _unbroadcast(gb, bias.shape[-3:]).reshape(bias.shape)
         for t, gt in zip((v, bias, q, k), (gv, gb, gq, gk)):
             if t is not None and t.requires_grad:
                 t._accumulate(gt)

@@ -6,7 +6,7 @@ import os
 import re
 import shutil
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -226,8 +226,8 @@ def test_gen_data_count_zero(tmp_path):
 def test_gen_data_writes_config_echo(tmp_path):
     assert run(["gen-data", "--out", tmp_path / "d", "--count", 3, "--seed", 1]) == 0
     echo = json.loads((tmp_path / "d" / "run_config.json").read_text())
-    assert echo["schema_version"] == 1
-    assert echo["config"]["data_seed"] == 1
+    assert list(echo) == ["config"]
+    assert echo["config"] == load_run_config(None, {"data_seed": 1}).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +292,40 @@ def test_resume_rejects_another_phase(mini, tmp_path):
         assert code == 2 and not out.exists(), (phase, ckpt)
 
 
+@pytest.mark.parametrize("start, extra, key", [
+    ("--resume", "base_channels = 8\n", "base_channels"),
+    ("--resume", "batch_size = 4\n", "batch_size"),
+    ("--base-ckpt", "d_tok = 16\n", "d_tok"),
+])
+def test_train_rejects_settings_the_checkpoint_was_not_trained_with(mini, tmp_path, capsys,
+                                                                    start, extra, key):
+    """A resumed run is the run its checkpoint came from, so a config whose
+    model or training settings differ from the checkpoint's is a config
+    error naming the key, found before anything is written; phase 2 from a
+    base checkpoint needs that checkpoint's model settings."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text((mini / "tiny.cfg").read_text() + extra)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["train", "--config", cfg, "--data", mini / "data", "--out", out,
+                "--phase", "1" if start == "--resume" else "2",
+                start, mini / "run" / "phase1_final.ckpt"]) == 2
+    assert key in capsys.readouterr().err and not out.exists()
+
+
+def test_run_config_describes_the_checkpoint_model(mini, tmp_path):
+    """`sample` and `eval --ckpt` record the model of the checkpoint they
+    load in run_config.json, not the config's."""
+    model_cfg = ModelConfig(base_channels=8, d_tok=16, caption_len=12, init_seed=3)
+    ckpt = live_phase2_checkpoint(tmp_path / "p2.ckpt", model_cfg)
+    for argv in (["sample", "--scene-json", mini / "data" / "scenes.jsonl", "--steps", 2],
+                 ["eval", "--data", mini / "data", "--omega-sweep", "0"]):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--ckpt", ckpt, "--count", 1, "--out", out]) == 0
+        echo = json.loads((out / "run_config.json").read_text())["config"]
+        assert {key: echo[key] for key in asdict(model_cfg)} == asdict(model_cfg), argv[0]
+
+
 def test_train_missing_dataset(tmp_path):
     code = run(["train", "--data", tmp_path / "nope", "--out", tmp_path / "r"])
     assert code == 3
@@ -329,6 +363,8 @@ def test_sample_outputs_and_determinism(mini, tmp_path):
     b = (tmp_path / "s2" / "sample_00000.ppm").read_bytes()
     assert a == b
     sidecar = json.loads((tmp_path / "s1" / "sample_00000.json").read_text())
+    assert sorted(sidecar) == ["batch_index", "caption_ids", "image", "interactions", "omega",
+                               "seed", "size", "steps"]
     assert sidecar["omega"] == 0.8  # default from supplied config
     assert sidecar["interactions"]
 
@@ -465,21 +501,40 @@ def test_eval_ground_truth_renders(mini, tmp_path):
     out = tmp_path / "gt"
     assert run(["eval", "--config", mini / "tiny.cfg", "--data", mini / "data",
                 "--use-renders", "--count", 12, "--out", out]) == 0
-    report = json.loads((out / "report_renders.json").read_text())
+    assert sorted(os.listdir(out)) == ["report_renders.json", "run_config.json"]
+    report = _scores_only(out / "report_renders.json")
     assert report["map_full"] == 1.0
 
 
+def _scores_only(path):
+    """The report at `path`, checked to hold scores only, each class's AP
+    keyed by its subject, action and object labels."""
+    report = json.loads(path.read_text())
+    assert sorted(report) == ["kid", "kid_stderr", "map_full", "map_rare", "per_class_ap",
+                              "sample_count"]
+    labels = [key.split("/") for key in report["per_class_ap"]]
+    assert labels and all(s in scenes.SUBJECTS and a in scenes.ACTIONS and o in scenes.OBJECTS
+                          for s, a, o in labels)
+    return report
+
+
 def test_eval_sweep_rows(mini, tmp_path):
+    """A sweep writes the config, one summary row and one report per omega,
+    and nothing else."""
     out = tmp_path / "sweep"
     assert run(["eval", "--config", mini / "tiny.cfg",
                 "--ckpt", mini / "run" / "phase2_final.ckpt",
                 "--data", mini / "data", "--count", 4,
                 "--omega-sweep", "0,0.5,1", "--out", out]) == 0
+    tags = ("0.00", "0.50", "1.00")
+    assert sorted(os.listdir(out)) == ([f"report_omega{w}.json" for w in tags]
+                                       + ["run_config.json", "summary.csv"])
+    assert list(json.loads((out / "run_config.json").read_text())) == ["config"]
     lines = (out / "summary.csv").read_text().strip().splitlines()
     assert lines[0] == "omega,map_full,map_rare,kid"
     assert len(lines) == 4
-    for w in ("0.00", "0.50", "1.00"):
-        assert (out / f"report_omega{w}.json").exists()
+    for w in tags:
+        assert _scores_only(out / f"report_omega{w}.json")["sample_count"] == 4
 
 
 @pytest.mark.parametrize("grid", [",", "0.5,0.5", "0.5,0.501", "abc", "1.5", None],
@@ -584,8 +639,6 @@ def test_eval_detects_each_real_image_once(mini, tmp_path, monkeypatch):
     for omega in (0.0, 0.5, 1.0):
         report = evaluation.detection_map(list(dets), gts)
         report.kid, report.kid_stderr = evaluation.kid_analog(feats_real, np.stack(feats_gen))
-        report.config_echo.update(load_run_config(mini / "tiny.cfg", {"eval_count": 100}).to_dict())
-        report.config_echo["omega"] = omega
         assert report.kid is not None
         assert (out / f"report_omega{omega:.2f}.json").read_text() == report.to_json() + "\n"
 

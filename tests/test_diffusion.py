@@ -211,10 +211,11 @@ def test_sample_omega_zero_ignores_interactions():
 
 
 def test_sample_builds_no_tape(tmp_path, monkeypatch):
-    """Gated sampling from a phase-2 checkpoint, whose `inter.*` parameters
-    are trainable, records no backward closure; a loss right after it still
-    fills their gradients."""
+    """Gated sampling from a phase-2 checkpoint, with `inter.*` trainable as
+    phase 2 leaves it, records no backward closure; a loss right after it
+    still fills their gradients."""
     model, _ = InteractionDiffusionModel.load(live_phase2_checkpoint(tmp_path / "p2.ckpt", TINY))
+    model.store.freeze("base.")
     ds = tiny_dataset(n=2)
     caps = [list(s.caption_ids) for s, _ in ds]
     inters = [list(s.interactions) for s, _ in ds]
@@ -347,7 +348,7 @@ def test_adam_restarts_each_phase(tmp_path, monkeypatch):
                         (2, "phase2_step000001"), (2, "phase2_final")):
         store, _ = N.load_checkpoint(tmp_path / f"{ckpt}.ckpt")
         prefix = "base." if phase == 1 else "inter."
-        assert sorted(store._m) == sorted(n for n in names if n.startswith(prefix)), ckpt
+        assert sorted(store.moments) == sorted(n for n in names if n.startswith(prefix)), ckpt
     resumed, meta = InteractionDiffusionModel.load(tmp_path / "phase2_step000001.ckpt")
     train_phase(resumed, ds, tcfg, 2, tmp_path / "resumed", start_step=meta["step"])
     assert resumed.store.state_hash() == model.store.state_hash()

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -49,6 +51,11 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             N.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    def test_attention_bias_needs_the_batch_axis(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError, match="batch axis"):
+            N.attention(x, x, x, 2, Tensor(np.zeros((2, 1, 3))))
+
 
 def _probs(logits):
     """Attention probabilities of one query over len(logits) keys: one head,
@@ -85,7 +92,7 @@ ATTENTION_BIASES = {
     "masked_key": lambda rng, B, H, Sk: Tensor(
         np.where(np.arange(Sk) < Sk - 1, 0.0, NEG_MASK)[None, None, None, :]
         * np.ones((B, 1, 1, 1))),
-    "grad_bias": lambda rng, B, H, Sk: Tensor(rng.normal(size=(H, 1, Sk)), requires_grad=True),
+    "grad_bias": lambda rng, B, H, Sk: Tensor(rng.normal(size=(B, H, 1, Sk)), requires_grad=True),
     # the model's: a learned per-head key bias on the last keys plus the mask
     "model_bias": lambda rng, B, H, Sk: (
         Tensor(rng.normal(size=H), requires_grad=True).reshape(H, 1, 1)
@@ -237,12 +244,12 @@ FD_CASES = [
     ("matmul", lambda a, b: (a @ b).sum(), [(3, 4), (4, 2)]),
     ("batched_matmul", lambda a, b: (a @ b).sum(), [(2, 3, 4), (2, 4, 3)]),
     ("attention", lambda q, k, v: _sq(N.attention(q, k, v, 2)).sum(), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
-    ("attention_bias", lambda q, k, v, b: _sq(N.attention(q, k, v, 2, b)).sum(), [(1, 3, 4), (1, 5, 4), (1, 5, 4), (2, 1, 5)]),
+    ("attention_bias", lambda q, k, v, b: _sq(N.attention(q, k, v, 2, b)).sum(), [(1, 3, 4), (1, 5, 4), (1, 5, 4), (1, 2, 1, 5)]),
     ("layer_norm", lambda x, g, b: _sq(N.layer_norm(x, g, b)).sum(), [(4, 6), (6,), (6,)]),
     ("group_norm", lambda x, g, b: _sq(N.layer_norm(x, g, b, groups=3)).sum(), [(2, 2, 2, 6), (6,), (6,)]),
     ("tanh", lambda a: N.tanh(a).sum(), [(7,)]),
     ("silu", lambda a: N.silu(a).sum(), [(7,)]),
-    ("mean", lambda a: _sq(a.mean(axis=0)).sum(), [(4, 3)]),
+    ("mean", lambda a: _sq(a).mean(), [(4, 3)]),
     ("reshape", lambda a, b: (a.reshape(4, 3) * b).sum(), [(2, 6), (4, 3)]),
     ("transpose", lambda a: (a.transpose(1, 0) @ a).sum(), [(3, 4)]),
     ("transpose_4d", lambda a, b: (a.transpose(0, 2, 3, 1) * b).sum(), [(2, 3, 4, 5), (2, 4, 5, 3)]),
@@ -603,9 +610,9 @@ class TestAdam:
     def test_freezing_drops_moments(self):
         store, _ = self._store_with("w", [1.0], grad=[0.5])
         adam_step(store, 0.1, 1)
-        assert set(store._m) == set(store._v) == {"w"}
+        assert set(store.moments) == {"w"}
         store.freeze("w")
-        assert store._m == {} and store._v == {}
+        assert store.moments == {}
 
 
 class TestCheckpoint:
@@ -616,8 +623,7 @@ class TestCheckpoint:
         store.add("inter.gate", Tensor(np.array(0.25)))
         store.freeze("base.")
         # populate moments
-        store._m["inter.gate"] = np.array(0.5)
-        store._v["inter.gate"] = np.array(0.25)
+        store.moments["inter.gate"] = (np.array(0.5), np.array(0.25))
         path = tmp_path / "ck.bin"
         save_checkpoint(store, path, meta={"seed": 1})
         loaded, meta = load_checkpoint(path)
@@ -625,8 +631,8 @@ class TestCheckpoint:
         assert loaded.names() == store.names()
         for name in store.names():
             assert loaded[name].data.tobytes() == store[name].data.tobytes()
-            assert loaded[name].requires_grad == store[name].requires_grad
-        assert loaded._m["inter.gate"].tobytes() == store._m["inter.gate"].tobytes()
+        for got, want in zip(loaded.moments["inter.gate"], store.moments["inter.gate"]):
+            assert got.tobytes() == want.tobytes()
 
     def test_float32_round_trip(self, tmp_path):
         store = ParameterStore()
@@ -638,18 +644,31 @@ class TestCheckpoint:
         assert loaded["w"].data.dtype == np.float32
         assert loaded["w"].data.tobytes() == store["w"].data.tobytes()
 
-    def test_frozen_flag_is_per_name(self, tmp_path):
-        """A frozen parameter whose name prefixes a trainable one's leaves
-        the trainable one trainable after a round trip."""
-        store = ParameterStore()
-        store.add("w", Tensor([1.0]))
-        store.add("w2", Tensor([2.0]))
-        store.freeze("w")  # by prefix: freezes "w2" too
-        store.unfreeze("w2")
-        path = tmp_path / "ck.bin"
-        save_checkpoint(store, path)
-        loaded, _ = load_checkpoint(path)
-        assert not loaded["w"].requires_grad and loaded["w2"].requires_grad
+    def test_header_with_frozen_flags_loads(self, tmp_path):
+        """A file whose parameter entries still carry a `frozen` flag, as
+        files written before trainability left the header do, loads to the
+        same arrays and moments, every parameter trainable; saved again, its
+        entries are {name, dtype, shape} and the bytes are otherwise equal."""
+        w, b, m, v = np.array([1.0, 2.0]), np.array([3.0]), np.array([0.5, 0.5]), np.array([0.25, 0.25])
+        payload = b"".join(a.astype("<f8").tobytes() for a in (w, b, m, v))
+        prefix = struct.Struct("<4sII")
+
+        def ckpt_bytes(entries):
+            header = {"params": entries, "moments": ["w"], "meta": {"step": 7}}
+            blob = json.dumps(header, sort_keys=True).encode("utf-8")
+            return prefix.pack(b"IDCK", 3, len(blob)) + blob + payload
+
+        entries = [{"name": "w", "dtype": "f8", "shape": [2]}, {"name": "b", "dtype": "f8", "shape": [1]}]
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(ckpt_bytes([dict(e, frozen=f) for e, f in zip(entries, (False, True))]))
+        loaded, meta = load_checkpoint(old)
+        assert meta == {"step": 7} and loaded.names() == ["w", "b"]
+        assert loaded["w"].data.tobytes() == w.tobytes() and loaded["b"].data.tobytes() == b.tobytes()
+        assert [a.tobytes() for a in loaded.moments["w"]] == [m.tobytes(), v.tobytes()]
+        assert list(loaded.moments) == ["w"]
+        assert loaded["w"].requires_grad and loaded["b"].requires_grad
+        save_checkpoint(loaded, tmp_path / "new.ckpt", meta)
+        assert (tmp_path / "new.ckpt").read_bytes() == ckpt_bytes(entries)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         store = ParameterStore()
@@ -676,7 +695,7 @@ class TestCheckpoint:
         unknown parameter, a short payload, trailing bytes."""
         store = ParameterStore()
         store.add("w", Tensor([1.0, 2.0]))
-        store._m["w"], store._v["w"] = np.array([0.5, 0.5]), np.array([0.25, 0.25])
+        store.moments["w"] = (np.array([0.5, 0.5]), np.array([0.25, 0.25]))
         path = tmp_path / "ck.bin"
         save_checkpoint(store, path)
         path.write_bytes(corrupt_checkpoint(path.read_bytes(), fault))
